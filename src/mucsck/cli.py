@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -32,13 +33,24 @@ def _check_keys(blob: dict, allowed, where: str):
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
+def _finite(value, where: str) -> float:
+    """A config number as a float; json accepts NaN and Infinity, the CLI does not."""
+    val = float(value)
+    if not math.isfinite(val):
+        raise ConfigError(f"{where} must be finite, got {val}")
+    return val
+
+
 def _monotone(grid, where: str):
-    diffs = np.diff(np.asarray(grid, dtype=float))
+    if not isinstance(grid, (list, tuple)):
+        raise ConfigError(f"{where} must be a list")
+    grid = [_finite(g, where) for g in grid]
     if len(grid) == 0:
         raise ConfigError(f"{where} must be nonempty")
+    diffs = np.diff(grid)
     if len(diffs) and not (np.all(diffs > 0) or np.all(diffs < 0)):
         raise ConfigError(f"{where} must be strictly monotone")
-    return [float(g) for g in grid]
+    return grid
 
 
 def parse_surface(blob) -> SurfaceSpec:
@@ -53,7 +65,7 @@ def parse_surface(blob) -> SurfaceSpec:
             return SurfaceSpec.ruled(
                 int(blob.get("k", 1)), int(blob.get("genus", 0)), float(blob.get("m", 2.0))
             )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad surface parameters: {exc}")
     raise ConfigError(f"surface.kind must be CP1 or Ruled, got {kind!r}")
 
@@ -90,18 +102,8 @@ def resolve_output(cfg: dict, args) -> tuple:
     return path, fmt
 
 
-def _positive(cfg, key, default=None):
-    val = cfg.get(key, default)
-    if val is None:
-        raise ConfigError(f"missing required key {key!r}")
-    val = float(val)
-    if val <= 0:
-        raise ConfigError(f"{key} must be positive, got {val}")
-    return val
-
-
 def cmd_muvol(cfg, spec, path, fmt, quiet):
-    lam = float(cfg.get("lambda", 0.0))
+    lam = _finite(cfg.get("lambda", 0.0), "lambda")
     grid = _monotone(cfg.get("chi_grid", list(np.linspace(-3, 3, 61))), "chi_grid")
     ctx = FunctionalContext(spec)
     rows = []
@@ -123,17 +125,17 @@ def cmd_muvol(cfg, spec, path, fmt, quiet):
 
 
 def cmd_solve(cfg, spec, path, fmt, quiet):
-    lam = float(cfg.get("lambda", 0.0))
+    lam = _finite(cfg.get("lambda", 0.0), "lambda")
     bracket = cfg.get("bracket")
     if (not isinstance(bracket, (list, tuple))) or len(bracket) != 2:
         raise ConfigError("solve requires bracket: [lo, hi]")
-    res = solve_chi(spec, lam, (float(bracket[0]), float(bracket[1])))
+    res = solve_chi(spec, lam, tuple(_finite(v, "bracket") for v in bracket))
     if fmt == "json":
         payload = res.to_dict()
         payload["x"] = spec.chi_to_x(res.chi)
         write_json(path, payload)
     else:
-        n = int(cfg.get("profile_points", 257))
+        n = int(_finite(cfg.get("profile_points", 257), "profile_points"))
         if n <= 0:
             raise ConfigError("profile_points must be positive")
         rows = profile_rows(spec, res.profile, TorusWeight(res.chi), res.lam, n)
@@ -148,7 +150,7 @@ def cmd_path(cfg, spec, path, fmt, quiet):
     bracket = cfg.get("seed_bracket")
     if (not isinstance(bracket, (list, tuple))) or len(bracket) != 2:
         raise ConfigError("path requires seed_bracket: [lo, hi]")
-    pts = trace(spec, grid, (float(bracket[0]), float(bracket[1])))
+    pts = trace(spec, grid, tuple(_finite(v, "seed_bracket") for v in bracket))
     header = ["lambda", "chi", "a", "b", "c", "residual", "ode_sup_residual", "positive"]
     if fmt == "csv":
         write_csv(path, header, [p.to_row() for p in pts])
@@ -163,13 +165,15 @@ def cmd_path(cfg, spec, path, fmt, quiet):
 def cmd_energy(cfg, spec, path, fmt, quiet):
     from .energy import GeodesicPath, muk_energy_partial, potential_from_profile
 
-    lam = float(cfg.get("lambda", 0.0))
-    w = TorusWeight(float(cfg.get("chi", 0.0)))
+    lam = _finite(cfg.get("lambda", 0.0), "lambda")
+    w = TorusWeight(_finite(cfg.get("chi", 0.0), "chi"))
     t_grid = _monotone(cfg.get("t_grid", list(np.linspace(0.0, 1.0, 21))), "t_grid")
     if any(t < 0.0 for t in t_grid):
         raise ConfigError("t_grid entries must be nonnegative")
     u0 = potential_from_profile(spec.reference_profile(), spec)
     end = cfg.get("endpoint", {"kind": "fs"})
+    if not isinstance(end, dict):
+        raise ConfigError("endpoint must be an object")
     _check_keys(end, {"kind", "lambda", "bracket", "eps"}, "endpoint")
     kind = end.get("kind")
     if kind == "fs":
@@ -178,11 +182,12 @@ def cmd_energy(cfg, spec, path, fmt, quiet):
         bracket = end.get("bracket")
         if (not isinstance(bracket, (list, tuple))) or len(bracket) != 2:
             raise ConfigError("endpoint.kind=solve requires bracket")
-        res = solve_chi(spec, float(end.get("lambda", lam)), tuple(map(float, bracket)))
+        res = solve_chi(spec, _finite(end.get("lambda", lam), "endpoint.lambda"),
+                        tuple(_finite(v, "endpoint.bracket") for v in bracket))
         u1 = potential_from_profile(res.profile, spec)
     elif kind == "perturbed":
         u1 = potential_from_profile(
-            spec.perturbed_profile(float(end.get("eps", 0.05))), spec
+            spec.perturbed_profile(_finite(end.get("eps", 0.05), "endpoint.eps")), spec
         )
     else:
         raise ConfigError(f"endpoint.kind must be fs, solve, or perturbed, got {kind!r}")
@@ -222,9 +227,9 @@ def cmd_phase(cfg, spec, path, fmt, quiet):
 
 
 def cmd_futaki(cfg, spec, path, fmt, quiet):
-    lam = float(cfg.get("lambda", 0.0))
-    w = TorusWeight(float(cfg.get("chi", 0.0)))
-    w_dir = TorusWeight(float(cfg.get("chi_dir", 1.0)))
+    lam = _finite(cfg.get("lambda", 0.0), "lambda")
+    w = TorusWeight(_finite(cfg.get("chi", 0.0), "chi"))
+    w_dir = TorusWeight(_finite(cfg.get("chi_dir", 1.0), "chi_dir"))
     ctx = FunctionalContext(spec)
     rep = vol_report(ctx, w, lam)
     payload = rep.to_dict()

@@ -93,9 +93,6 @@ class DHMeasure:
         moved = poly(np.polynomial.polynomial.Polynomial([-c, 1.0]))
         return DHMeasure(self.tau_min + c, self.tau_max + c, tuple(moved.coef), self.scale)
 
-    def with_scale(self, scale: float) -> "DHMeasure":
-        return DHMeasure(self.tau_min, self.tau_max, self.density_coeffs, scale)
-
 
 def _panel_nodes(measure: DHMeasure, panels: int):
     edges = np.linspace(measure.tau_min, measure.tau_max, panels + 1)

@@ -78,31 +78,21 @@ def lambda_of_chi_p2blowup(chi: float) -> float:
     """
     if not chi < 0.0:
         raise ValueError(f"the closed form is stated for chi < 0, got {chi}")
-    if abs(chi) < P2_MP_CUTOFF:
-        with mp.workdps(40):
-            x = mpf(chi)
-            e2, em2 = mp.exp(2 * x), mp.exp(-2 * x)
-            num = (9 * x ** 2 - 6 * x - 2) * e2 + (-x ** 2 + 2 * x - 2) * em2 + (
-                -12 * x ** 3 + 16 * x ** 2 + 4 * x + 4
-            )
-            den = (9 * x ** 2 - 12 * x + 2) * e2 + (x ** 2 - 4 * x + 2) * em2 + (
-                -12 * x ** 4 + 16 * x ** 3 - 2 * x ** 2 + 16 * x - 4
-            )
-            # the high-order vanishing of num and den at the origin is
-            # resolved exactly in extended precision; only a true zero poles
-            if den == 0:
-                raise PoleError(f"lambda(chi) denominator vanishes at chi={chi}")
-            return float(x * num / den)
-    e2, em2 = math.exp(2 * chi), math.exp(-2 * chi)
-    num = (9 * chi ** 2 - 6 * chi - 2) * e2 + (-chi ** 2 + 2 * chi - 2) * em2 + (
-        -12 * chi ** 3 + 16 * chi ** 2 + 4 * chi + 4
-    )
-    den = (9 * chi ** 2 - 12 * chi + 2) * e2 + (chi ** 2 - 4 * chi + 2) * em2 + (
-        -12 * chi ** 4 + 16 * chi ** 3 - 2 * chi ** 2 + 16 * chi - 4
-    )
-    if abs(den) < 1e-14 * max(abs(e2), abs(em2), 1.0):
-        raise PoleError(f"lambda(chi) denominator vanishes at chi={chi}")
-    return chi * num / den
+    small = abs(chi) < P2_MP_CUTOFF
+    with mp.workdps(40):
+        x, exp = (mpf(chi), mp.exp) if small else (chi, math.exp)
+        e2, em2 = exp(2 * x), exp(-2 * x)
+        num = (9 * x ** 2 - 6 * x - 2) * e2 + (-x ** 2 + 2 * x - 2) * em2 + (
+            -12 * x ** 3 + 16 * x ** 2 + 4 * x + 4
+        )
+        den = (9 * x ** 2 - 12 * x + 2) * e2 + (x ** 2 - 4 * x + 2) * em2 + (
+            -12 * x ** 4 + 16 * x ** 3 - 2 * x ** 2 + 16 * x - 4
+        )
+        # the high-order vanishing of num and den at the origin is resolved
+        # exactly in extended precision; only a true zero poles there
+        if den == 0 or (not small and abs(den) < 1e-14 * max(abs(e2), abs(em2), 1.0)):
+            raise PoleError(f"lambda(chi) denominator vanishes at chi={chi}")
+        return float(x * num / den)
 
 
 def tau0_sign_polynomials(chi: float):
@@ -190,7 +180,7 @@ def trace(spec: SurfaceSpec, lambda_grid, seed_bracket) -> list:
                     res = solve_chi(spec, lam, (lo, hi))
             points.append(PathPoint(lam, res.chi, res))
             seed = res.chi
-        except (BracketError, MucsckError) as exc:
+        except MucsckError as exc:
             if isinstance(exc, PoleError):
                 raise
             points.append(PathPoint(lam, None, None))

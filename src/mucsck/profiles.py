@@ -7,14 +7,17 @@ metric positivity is phi > 0 on the open interval.  Three representations:
   chi=0 branch on the line).
 * ClosedFormProfile -- psi(tau) = (a + b tau) e^{chi tau} + poly(tau) with
   phi = psi / (1 - k tau); covers both solver branches (chi=0 stores
-  a = b = 0 and a cubic).  For small |chi| or large |chi|*width the float
-  representation cancels catastrophically, so evaluation switches to mpmath.
+  a = b = 0 and a cubic).  The coefficients stay in the arithmetic of the
+  solve: floats, or mpfs where the float form cancels catastrophically
+  (small |chi|, large |chi|*width).  psi^(n) has one formula, evaluated
+  vectorised for floats and node by node in mpmath for mpfs.
 * SampledProfile -- values and derivatives on a grid, spline-interpolated.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 from mpmath import mp, mpf
@@ -24,6 +27,15 @@ MP_DPS = 40
 
 def _as_array(tau):
     return np.asarray(tau, dtype=float)
+
+
+def poly_deriv(coeffs, t, n=0):
+    """n-th derivative of sum_j c_j t^j at a scalar t, as a power sum.
+
+    The power sum (not Horner) fixes the rounding of the boundary rows and of
+    the mp node values.
+    """
+    return sum(math.perm(j, n) * c * t ** (j - n) for j, c in enumerate(coeffs) if j >= n)
 
 
 @dataclass(frozen=True)
@@ -49,7 +61,11 @@ class PolynomialProfile:
 
 @dataclass(frozen=True)
 class ClosedFormProfile:
-    """phi = [(a + b tau) e^{chi tau} + poly(tau)] / (1 - k tau)."""
+    """phi = [(a + b tau) e^{chi tau} + poly(tau)] / (1 - k tau).
+
+    a, b and poly_coeffs are floats or mpfs, as the solve produced them; chi,
+    k, domain and lam are floats.
+    """
 
     a: float
     b: float
@@ -58,64 +74,52 @@ class ClosedFormProfile:
     k: int
     domain: tuple
     lam: float = 0.0
-    use_mp: bool = False
-    _mp_abc: tuple = field(default=None, repr=False, compare=False)
 
-    def with_mp_coeffs(self, a_mp, b_mp, poly_mp) -> "ClosedFormProfile":
-        return ClosedFormProfile(
-            float(a_mp), float(b_mp), self.chi, tuple(float(c) for c in poly_mp),
-            self.k, self.domain, self.lam, use_mp=True,
-            _mp_abc=(a_mp, b_mp, tuple(poly_mp)),
-        )
+    @property
+    def use_mp(self) -> bool:
+        return isinstance(self.a, mpf)
 
     # -- psi = (1 - k tau) phi ------------------------------------------------
 
     def psi_value(self, tau):
-        if self.use_mp:
-            return self._psi_mp(tau, 0)
-        t = _as_array(tau)
-        return (self.a + self.b * t) * np.exp(self.chi * t) + np.polynomial.polynomial.polyval(
-            t, self.poly_coeffs
-        )
+        return self._psi(tau, 0)
 
     def psi_deriv(self, tau):
-        if self.use_mp:
-            return self._psi_mp(tau, 1)
-        t = _as_array(tau)
-        e = np.exp(self.chi * t)
-        d = np.polynomial.polynomial.polyder(self.poly_coeffs)
-        return (self.b + self.chi * (self.a + self.b * t)) * e + np.polynomial.polynomial.polyval(t, d)
+        return self._psi(tau, 1)
 
     def psi_deriv2(self, tau):
-        if self.use_mp:
-            return self._psi_mp(tau, 2)
-        t = _as_array(tau)
-        e = np.exp(self.chi * t)
-        d2 = np.polynomial.polynomial.polyder(self.poly_coeffs, 2)
-        expo = (2.0 * self.b * self.chi + self.chi ** 2 * (self.a + self.b * t)) * e
-        return expo + np.polynomial.polynomial.polyval(t, d2)
+        return self._psi(tau, 2)
 
-    def _psi_mp(self, tau, order):
-        a, b, poly = self._mp_abc
-        chi = mpf(self.chi)
-        t_arr = np.atleast_1d(_as_array(tau))
-        out = np.empty(t_arr.shape, dtype=float)
+    def _psi(self, tau, n):
+        """n-th derivative of psi in the coefficients' arithmetic.
+
+        Float coefficients: vectorised over tau.  mpf coefficients: an mpf
+        tau is evaluated in the working precision and returned as an mpf;
+        any other tau node by node in MP_DPS digits, rounded to floats.
+        """
+        if not self.use_mp:
+            return self._psi_at(_as_array(tau), n)
+        if isinstance(tau, mpf):
+            return self._psi_at(tau, n)
+        nodes = np.atleast_1d(_as_array(tau))
         with mp.workdps(MP_DPS):
-            for i, tv in enumerate(t_arr.ravel()):
-                t = mpf(tv)
-                e = mp.e ** (chi * t)
-                if order == 0:
-                    val = (a + b * t) * e + sum(c * t ** j for j, c in enumerate(poly))
-                elif order == 1:
-                    val = (b + chi * (a + b * t)) * e + sum(
-                        j * c * t ** (j - 1) for j, c in enumerate(poly) if j >= 1
-                    )
-                else:
-                    val = (2 * b * chi + chi ** 2 * (a + b * t)) * e + sum(
-                        j * (j - 1) * c * t ** (j - 2) for j, c in enumerate(poly) if j >= 2
-                    )
-                out.ravel()[i] = float(val)
-        return out if np.asarray(tau).shape else float(out.ravel()[0])
+            out = np.array([float(self._psi_at(mpf(t), n)) for t in nodes.ravel()])
+        return out.reshape(nodes.shape) if np.ndim(tau) else float(out[0])
+
+    def _psi_at(self, t, n):
+        a, b, chi = self.a, self.b, self.chi
+        if self.use_mp:
+            chi = mpf(chi)
+            e, poly = mp.exp(chi * t), poly_deriv(self.poly_coeffs, t, n)
+        else:
+            e = np.exp(chi * t)
+            poly = np.polynomial.polynomial.polyval(
+                t, np.polynomial.polynomial.polyder(self.poly_coeffs, n))
+        # d^n/dtau^n (a + b tau) e^{chi tau} = (chi^n (a + b tau) + n b chi^{n-1}) e^{chi tau}
+        expo = chi ** n * (a + b * t)
+        if n:
+            expo = expo + n * b * chi ** (n - 1)
+        return expo * e + poly
 
     # -- phi ------------------------------------------------------------------
 

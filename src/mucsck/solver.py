@@ -16,8 +16,11 @@ coefficients always come from the numerically solved system; explicit
 closed forms for them exist but serve only as test oracles.
 
 Arithmetic: the exponential basis degenerates against {1, tau} as chi -> 0
-and overflows conditioning for large |chi|*width, so the solve and profile
-evaluations switch to extended precision outside a comfortable float window.
+and overflows conditioning for large |chi|*width, so outside a comfortable
+float window the boundary system is built and solved in mpmath.  Every
+helper takes the arithmetic from a `one` argument (1.0 or mpf(1)); the
+solved ClosedFormProfile keeps its coefficients in that arithmetic, and its
+evaluations follow them.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from scipy.optimize import brentq
 
 from .dh import TorusWeight
 from .errors import BracketError, ChiZeroBranchError, DegenerateParameterError, DomainError
-from .profiles import ClosedFormProfile
+from .profiles import ClosedFormProfile, poly_deriv
 from .surfaces import CP1, SurfaceSpec
 
 CHI_ZERO_THRESHOLD = 1e-6
@@ -69,44 +72,6 @@ def _psi_parts(spec: SurfaceSpec, lam, chi, one):
               lam * (chi - 4 * k) / chi ** 2,
               -lam * k / chi]
     return p3, p4
-
-
-class SolutionBasis:
-    """Four functions f1..f4 of tau with phi = a f1 + b f2 + c f3 + f4.
-
-    f1 = e^{chi tau}/(1-k tau), f2 = tau e^{chi tau}/(1-k tau); f3 carries
-    the c-dependence of the particular part and f4 the remainder, so that
-    the assembled phi solves the constant-curvature equation with constant c.
-    """
-
-    def __init__(self, spec: SurfaceSpec, lam: float, w: TorusWeight):
-        if abs(w.chi) < CHI_ZERO_THRESHOLD:
-            raise ChiZeroBranchError(
-                f"|chi|={abs(w.chi):g} is below {CHI_ZERO_THRESHOLD:g}; use chi_zero_branch"
-            )
-        self.spec = spec
-        self.lam = float(lam)
-        self.chi = float(w.chi)
-        self.p3, self.p4 = _psi_parts(spec, lam, w.chi, 1.0)
-
-    def _den(self, t):
-        return 1.0 - self.spec.k * np.asarray(t, dtype=float)
-
-    def f1(self, t):
-        return np.exp(self.chi * np.asarray(t, dtype=float)) / self._den(t)
-
-    def f2(self, t):
-        t = np.asarray(t, dtype=float)
-        return t * np.exp(self.chi * t) / self._den(t)
-
-    def f3(self, t):
-        return np.polynomial.polynomial.polyval(np.asarray(t, dtype=float), self.p3) / self._den(t)
-
-    def f4(self, t):
-        return np.polynomial.polynomial.polyval(np.asarray(t, dtype=float), self.p4) / self._den(t)
-
-    def functions(self):
-        return self.f1, self.f2, self.f3, self.f4
 
 
 @dataclass(frozen=True)
@@ -179,15 +144,9 @@ def _imposed_rows(spec: SurfaceSpec, lam, chi, one):
     k = one * spec.k
     chi = one * chi
     p3, p4 = _psi_parts(spec, lam, chi, one)
-
-    def poly(coeffs, t):
-        return sum(c * t ** j for j, c in enumerate(coeffs))
-
-    def dpoly(coeffs, t):
-        return sum(j * c * t ** (j - 1) for j, c in enumerate(coeffs) if j >= 1)
-
     lo = one * spec.tau_lo
     hi = one * spec.tau_hi
+    zero = one * 0
     bc = spec.bc
     deriv0 = bc.deriv_lo if spec.tau_lo == 0.0 else bc.deriv_hi
 
@@ -195,73 +154,62 @@ def _imposed_rows(spec: SurfaceSpec, lam, chi, one):
     rhs = []
     for t, v in ((lo, bc.value_lo), (hi, bc.value_hi)):
         e = exp(chi * t)
-        rows.append([e, t * e, poly(p3, t)])
-        rhs.append(v * (1 - k * t) - poly(p4, t))
+        rows.append([e, t * e, poly_deriv(p3, t)])
+        rhs.append(v * (1 - k * t) - poly_deriv(p4, t))
     # derivative row at tau = 0: psi'(0) + k psi(0)
-    rows.append([chi + k, one * 1, dpoly(p3, one * 0) + k * poly(p3, one * 0)])
-    rhs.append(one * deriv0 - dpoly(p4, one * 0) - k * poly(p4, one * 0))
+    rows.append([chi + k, one * 1, poly_deriv(p3, zero, 1) + k * poly_deriv(p3, zero)])
+    rhs.append(one * deriv0 - poly_deriv(p4, zero, 1) - k * poly_deriv(p4, zero))
     return rows, rhs, p3, p4
 
 
-def _solve_float(spec: SurfaceSpec, lam: float, chi: float):
-    rows, rhs, p3, p4 = _imposed_rows(spec, lam, chi, 1.0)
+def _solve(spec: SurfaceSpec, lam, chi: float, one):
+    """(c, profile) from the boundary system, in the arithmetic of `one`.
+
+    Only the 3x3 solve and the float back-substitution check depend on it.
+    """
+    rows, rhs, p3, p4 = _imposed_rows(spec, lam, chi, one)
+    # column scaling maps exponentially small/large unknowns to O(1) and
+    # keeps mpmath's pivot tolerance honest
+    dc = [1 / max(abs(row[j]) for row in rows) for j in range(3)]
+    scaled = [[row[j] * dc[j] for j in range(3)] for row in rows]
+    use_float = isinstance(one, float)
+    try:
+        if use_float:
+            y = np.linalg.solve(np.array(scaled), np.array(rhs))
+        else:
+            y = mp.lu_solve(mp.matrix(scaled), mp.matrix(rhs))
+    except (np.linalg.LinAlgError, ZeroDivisionError) as exc:
+        raise DegenerateParameterError(f"singular boundary system: {exc}", lam=lam, chi=chi)
+    x = [y[j] * dc[j] for j in range(3)]
+    if use_float:
+        _check_back_substitution(rows, rhs, x, lam, chi)
+        x = [float(v) for v in x]
+    a, b, c = x
+    poly = [p4[j] + c * p3[j] if j < len(p3) else p4[j] for j in range(len(p4))]
+    profile = ClosedFormProfile(a, b, chi, tuple(poly), spec.k,
+                                (spec.tau_lo, spec.tau_hi), float(lam))
+    return float(c), profile
+
+
+def _check_back_substitution(rows, rhs, x, lam, chi):
+    """The imposed conditions must actually hold for the float solution."""
     A = np.array(rows, dtype=float)
     r = np.array(rhs, dtype=float)
-    # column scaling maps exponentially small/large unknowns to O(1)
-    dc = 1.0 / np.abs(A).max(axis=0)
-    try:
-        y = np.linalg.solve(A * dc[None, :], r)
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateParameterError(f"singular boundary system: {exc}", lam=lam, chi=chi)
-    x = y * dc
+    x = np.array(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise DegenerateParameterError("non-finite solve output", lam=lam, chi=chi)
-    # verify the imposed conditions actually hold for the computed profile
     back = np.abs(A @ x - r)
     tol = 1e-9 * (np.abs(A) @ np.abs(x) + np.abs(r) + 1.0)
     if np.any(back > tol):
         raise DegenerateParameterError(
             f"boundary system too ill-conditioned at (lam={lam}, chi={chi})", lam=lam, chi=chi
         )
-    a, b, c = (float(v) for v in x)
-    poly = np.polynomial.polynomial.polyadd(np.asarray(p4), c * np.asarray(p3))
-    profile = ClosedFormProfile(a, b, chi, tuple(poly), spec.k, (spec.tau_lo, spec.tau_hi), lam)
-    return a, b, c, profile
-
-
-def _solve_mp(spec: SurfaceSpec, lam: float, chi: float):
-    with mp.workdps(MP_DPS):
-        rows, rhs, p3, p4 = _imposed_rows(spec, lam, chi, mpf(1))
-        # column scaling maps exponentially small/large unknowns to O(1) and
-        # keeps mpmath's pivot tolerance honest
-        dc = [1 / max(abs(rows[i][j]) for i in range(3)) for j in range(3)]
-        A = mp.matrix([[rows[i][j] * dc[j] for j in range(3)] for i in range(3)])
-        r = mp.matrix(rhs)
-        try:
-            sol = mp.lu_solve(A, r)
-        except ZeroDivisionError as exc:
-            raise DegenerateParameterError(f"singular boundary system: {exc}", lam=lam, chi=chi)
-        a, b, c = sol[0] * dc[0], sol[1] * dc[1], sol[2] * dc[2]
-        n = max(len(p3), len(p4))
-        poly = [
-            (p4[j] if j < len(p4) else 0) + c * (p3[j] if j < len(p3) else 0)
-            for j in range(n)
-        ]
-        base = ClosedFormProfile(
-            float(a), float(b), chi, tuple(float(v) for v in poly),
-            spec.k, (spec.tau_lo, spec.tau_hi), float(lam),
-        )
-        return float(a), float(b), float(c), base.with_mp_coeffs(a, b, poly)
-
-
-def solution_basis(spec: SurfaceSpec, lam: float, w: TorusWeight) -> SolutionBasis:
-    return SolutionBasis(spec, lam, w)
 
 
 def solve_coefficients(spec: SurfaceSpec, lam: float, w: TorusWeight):
     """Impose the three boundary conditions; returns (a, b, c)."""
-    a, b, c, _ = _solve_with_profile(spec, lam, w)
-    return a, b, c
+    c, profile = _solve_with_profile(spec, lam, w)
+    return float(profile.a), float(profile.b), c
 
 
 def _solve_with_profile(spec: SurfaceSpec, lam: float, w: TorusWeight):
@@ -271,8 +219,9 @@ def _solve_with_profile(spec: SurfaceSpec, lam: float, w: TorusWeight):
             f"|chi|={abs(chi):g} is below {CHI_ZERO_THRESHOLD:g}; use chi_zero_branch"
         )
     if _needs_mp(spec, chi):
-        return _solve_mp(spec, lam, chi)
-    return _solve_float(spec, lam, chi)
+        with mp.workdps(MP_DPS):
+            return _solve(spec, lam, chi, mpf(1))
+    return _solve(spec, lam, chi, 1.0)
 
 
 # -- the chi = 0 polynomial branch ----------------------------------------------
@@ -289,26 +238,33 @@ def chi_zero_branch(spec: SurfaceSpec, lam: float) -> SolveResult:
         c = (6.0 + 3.0 * m * lg) / (3.0 * m + m * m * k)
         poly = (0.0, -1.0, (lg - c) / 2.0, k * c / 6.0)
     profile = ClosedFormProfile(0.0, 0.0, 0.0, poly, spec.k, (spec.tau_lo, spec.tau_hi), lam)
-    return build_result(spec, lam, TorusWeight(0.0), 0.0, 0.0, c, profile)
+    return build_result(spec, lam, TorusWeight(0.0), c, profile)
 
 
 # -- residual and root finding ---------------------------------------------------
 
 
-def _free_deriv(spec: SurfaceSpec, profile: ClosedFormProfile) -> float:
-    t = spec.free_endpoint
-    den = 1.0 - spec.k * t
-    psi = profile.psi_value(t)
-    dpsi = profile.psi_deriv(t)
-    return float((dpsi * den + spec.k * psi) / den ** 2)
+def _free_deriv(spec: SurfaceSpec, profile: ClosedFormProfile, one):
+    """phi' at the free endpoint, in the arithmetic of `one`.
+
+    With one = 1.0 the psi values are floats (rounded node values for an mp
+    profile); with one = mpf(1) they are mpfs in the working precision.
+    """
+    t = one * spec.free_endpoint
+    den = 1 - spec.k * t
+    return (profile.psi_deriv(t) * den + spec.k * profile.psi_value(t)) / den ** 2
+
+
+def _shooting_residual(spec: SurfaceSpec, profile: ClosedFormProfile) -> float:
+    return float(_free_deriv(spec, profile, 1.0)) - spec.free_deriv_target
 
 
 def residual(spec: SurfaceSpec, lam: float, w: TorusWeight) -> float:
     """phi' at the free endpoint minus its target; continuous across chi=0."""
     if abs(w.chi) < CHI_ZERO_THRESHOLD:
         return chi_zero_branch(spec, lam).residual
-    _, _, _, profile = _solve_with_profile(spec, lam, w)
-    return _free_deriv(spec, profile) - spec.free_deriv_target
+    _, profile = _solve_with_profile(spec, lam, w)
+    return _shooting_residual(spec, profile)
 
 
 def mu_scalar_curvature(spec: SurfaceSpec, profile, w: TorusWeight, lam: float, tau):
@@ -366,7 +322,7 @@ def positivity_certificate(profile, spec: SurfaceSpec) -> PositivityCertificate:
     flagged = False
     if isinstance(profile, ClosedFormProfile) and profile.chi != 0.0:
         if profile.b != 0.0:
-            tau0 = -profile.a / profile.b - 3.0 / profile.chi
+            tau0 = -float(profile.a) / float(profile.b) - 3.0 / profile.chi
             method = "analytic+scan"
         else:
             flagged = True
@@ -392,12 +348,12 @@ def positivity_certificate(profile, spec: SurfaceSpec) -> PositivityCertificate:
     )
 
 
-def build_result(spec, lam, w, a, b, c, profile) -> SolveResult:
-    res = _free_deriv(spec, profile) - spec.free_deriv_target
+def build_result(spec, lam, w, c, profile) -> SolveResult:
+    res = _shooting_residual(spec, profile)
     sup = ode_sup_residual(spec, profile, w, lam, c)
     cert = positivity_certificate(profile, spec)
-    return SolveResult(float(lam), float(w.chi), float(a), float(b), float(c),
-                       float(res), sup, cert, profile)
+    return SolveResult(float(lam), float(w.chi), float(profile.a), float(profile.b), float(c),
+                       res, sup, cert, profile)
 
 
 def solve_at(spec: SurfaceSpec, lam: float, chi: float) -> SolveResult:
@@ -405,8 +361,8 @@ def solve_at(spec: SurfaceSpec, lam: float, chi: float) -> SolveResult:
     w = TorusWeight(chi)
     if abs(chi) < CHI_ZERO_THRESHOLD:
         return chi_zero_branch(spec, lam)
-    a, b, c, profile = _solve_with_profile(spec, lam, w)
-    return build_result(spec, lam, w, a, b, c, profile)
+    c, profile = _solve_with_profile(spec, lam, w)
+    return build_result(spec, lam, w, c, profile)
 
 
 def solve_chi(spec: SurfaceSpec, lam: float, bracket) -> SolveResult:
@@ -451,19 +407,6 @@ def scan_chi_roots(spec: SurfaceSpec, lam: float, chi_abs_range=(1e-3, 30.0),
     return sorted(roots)
 
 
-def _free_deriv_mp(spec: SurfaceSpec, profile: ClosedFormProfile):
-    a, b, poly = profile._mp_abc
-    chi = mpf(profile.chi)
-    t = mpf(spec.free_endpoint)
-    e = mp.exp(chi * t)
-    psi = (a + b * t) * e + sum(c * t ** j for j, c in enumerate(poly))
-    dpsi = (b + chi * (a + b * t)) * e + sum(
-        j * c * t ** (j - 1) for j, c in enumerate(poly) if j >= 1
-    )
-    den = 1 - spec.k * t
-    return (dpsi * den + spec.k * psi) / den ** 2
-
-
 def flat_disk_limit_gap(spec: SurfaceSpec, chi: float, tau_hi: float = 1.8) -> float:
     """sup over [0, tau_hi] of |phi^{lam(chi)}_chi - 2 tau| on the unit line.
 
@@ -478,9 +421,9 @@ def flat_disk_limit_gap(spec: SurfaceSpec, chi: float, tau_hi: float = 1.8) -> f
         raise ValueError(f"need chi >= 10, got {chi}")
     with mp.workdps(MP_DPS):
         target = mpf(spec.free_deriv_target)
-        profiles = [_solve_mp(spec, mpf(l), chi)[3] for l in (0, 1)]
-        r0, r1 = (_free_deriv_mp(spec, p) - target for p in profiles)
+        r0, r1 = (_free_deriv(spec, _solve(spec, mpf(l), chi, mpf(1))[1], mpf(1)) - target
+                  for l in (0, 1))
         lam = -r0 / (r1 - r0)
-        profile = _solve_mp(spec, lam, chi)[3]
+        profile = _solve(spec, lam, chi, mpf(1))[1]
     ts = np.linspace(0.0, tau_hi, 1001)
     return float(np.max(np.abs(profile.value(ts) - 2.0 * ts)))

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -87,7 +88,7 @@ class SurfaceSpec:
         """Factor with chi = chi_convention * x for the vector field x.eta."""
         return 2.0 * math.pi if self.kind == CP1 else 4.0 * math.pi
 
-    @property
+    @cached_property
     def measure(self) -> DHMeasure:
         if self.kind == CP1:
             return DHMeasure(0.0, 2.0 * self.m, (1.0,), math.pi)

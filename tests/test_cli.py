@@ -181,3 +181,35 @@ def test_energy_negative_time_rejected(tmp_path):
            "endpoint": {"kind": "fs"}, "t_grid": [-0.5, 0.0, 0.5]}
     code, _ = run(tmp_path, "energy", cfg)
     assert code == 2
+
+
+def test_energy_endpoint_must_be_object(tmp_path, capsys):
+    cfg = {"surface": CP1, "lambda": 1.0, "chi": 0.5, "endpoint": "fs"}
+    code, _ = run(tmp_path, "energy", cfg)
+    assert code == 2
+    assert "endpoint must be an object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("solve", {"surface": CP1, "lambda": float("nan"), "bracket": [0.1, 5.0]}),
+    ("solve", {"surface": CP1, "lambda": 5.0, "bracket": [0.1, float("inf")]}),
+    ("path", {"surface": RULED, "lambda_grid": [1.0], "seed_bracket": [float("-inf"), -0.1]}),
+    ("muvol", {"surface": CP1, "lambda": 5.0, "chi_grid": [-1.0, float("nan"), 1.0]}),
+    ("futaki", {"surface": RULED, "lambda": 1.0, "chi": float("nan")}),
+    ("energy", {"surface": CP1, "lambda": 1.0, "chi": 0.5,
+                "endpoint": {"kind": "perturbed", "eps": float("nan")}}),
+])
+def test_non_finite_number_exits_2(tmp_path, capsys, command, cfg):
+    # json writes and reads NaN and Infinity; the CLI rejects them as config errors
+    code, _ = run(tmp_path, command, cfg, fmt="json")
+    assert code == 2
+    assert "must be finite" in capsys.readouterr().err
+
+
+def test_infinite_integer_values_exit_2(tmp_path):
+    cfg = {"surface": {"kind": "Ruled", "k": float("inf")}, "lambda": 1.0}
+    code, _ = run(tmp_path, "futaki", cfg, fmt="json")
+    assert code == 2
+    cfg = {"surface": CP1, "lambda": 5.0, "bracket": [0.1, 5.0], "profile_points": float("inf")}
+    code, _ = run(tmp_path, "solve", cfg)
+    assert code == 2

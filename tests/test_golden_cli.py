@@ -1,0 +1,88 @@
+"""Byte-for-byte regression of CLI outputs against checked-in golden files.
+
+Each case runs one subcommand on a fixed config and compares the bytes it
+writes with `tests/golden/<name>.<format>`.  The cases cover every
+subcommand, and the solver on the float branch, on both extended-precision
+windows (|chi|*width > 10 and |chi| < 1e-2) and across the float -> mp switch
+along a path.
+
+The golden files were written by the code before the closed-form profile
+was unified.  To rewrite them after an intended output change (which must be
+recorded with its size and oracle in CHANGES.md), run
+
+    PYTHONPATH=src python tests/test_golden_cli.py
+"""
+
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from mucsck.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+CP1 = {"kind": "CP1", "m": 1.0}
+P2_BLOWUP = {"kind": "Ruled", "k": 1, "genus": 0, "m": 2.0}
+RULED_K2_G1 = {"kind": "Ruled", "k": 2, "genus": 1, "m": 1.0}
+
+# name -> (command, format, config)
+CASES = {
+    "muvol_cp1": ("muvol", "csv", {"surface": CP1, "lambda": 5.0}),
+    "futaki_p2_blowup": ("futaki", "json", {
+        "surface": P2_BLOWUP, "lambda": 1.0, "chi": -0.5276195199, "chi_dir": 1.0}),
+    "phase_cp1": ("phase", "json", {"surface": CP1, "lambda_grid": [3.5, 4.0, 4.5]}),
+    "energy_perturbed": ("energy", "csv", {
+        "surface": CP1, "lambda": 2.0, "chi": 0.5,
+        "endpoint": {"kind": "perturbed", "eps": 0.05},
+        "t_grid": [0.0, 0.25, 0.5, 0.75, 1.0]}),
+    "solve_float_json": ("solve", "json", {
+        "surface": RULED_K2_G1, "lambda": 3.0, "bracket": [-4.0, -3.5]}),
+    "solve_float_csv": ("solve", "csv", {
+        "surface": RULED_K2_G1, "lambda": 3.0, "bracket": [-4.0, -3.5],
+        "profile_points": 65}),
+    # |chi|*width > 10: chi is about 5.9955 on an interval of width 2
+    "solve_mp_wide": ("solve", "json", {
+        "surface": {"kind": "CP1", "m": 1.0}, "lambda": 12.0, "bracket": [5.5, 6.5]}),
+    # |chi| < 1e-2: chi is about -0.00878
+    "solve_mp_small_chi": ("solve", "csv", {
+        "surface": P2_BLOWUP, "lambda": -60.0, "bracket": [-0.02, -0.003],
+        "profile_points": 33}),
+    # the traced root crosses |chi| = 1e-2 between lambda = -50 and -60
+    "path_float_to_mp": ("path", "csv", {
+        "surface": P2_BLOWUP, "lambda_grid": [-40.0, -50.0, -60.0],
+        "seed_bracket": [-0.02, -0.005]}),
+}
+
+
+def run_case(name, workdir: Path) -> bytes:
+    command, fmt, cfg = CASES[name]
+    cfg_path = workdir / f"{name}.cfg.json"
+    out_path = workdir / f"{name}.{fmt}"
+    cfg_path.write_text(json.dumps(cfg))
+    code = main([command, "--config", str(cfg_path), "--out", str(out_path),
+                 "--format", fmt, "--quiet"])
+    assert code == 0, f"{name}: exit code {code}"
+    return out_path.read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_output_matches_golden(name, tmp_path, monkeypatch):
+    monkeypatch.delenv("MUCSCK_OUT_DIR", raising=False)
+    fmt = CASES[name][1]
+    expected = (GOLDEN / f"{name}.{fmt}").read_bytes()
+    assert run_case(name, tmp_path) == expected
+
+
+if __name__ == "__main__":
+    import os
+    import tempfile
+
+    os.environ.pop("MUCSCK_OUT_DIR", None)
+    GOLDEN.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        for case in sorted(CASES):
+            data = run_case(case, Path(tmp))
+            (GOLDEN / f"{case}.{CASES[case][1]}").write_bytes(data)
+            print(f"wrote {case}", file=sys.stderr)

@@ -1,17 +1,20 @@
 import numpy as np
 import pytest
+from mpmath import mp, mpf
 
 from mucsck.dh import TorusWeight
 from mucsck.errors import BracketError, ChiZeroBranchError, DomainError
-from mucsck.profiles import PolynomialProfile
+from mucsck.profiles import ClosedFormProfile, PolynomialProfile
 from mucsck.solver import (
+    _free_deriv,
+    _psi_parts,
+    _solve,
     chi_zero_branch,
     flat_disk_limit_gap,
     mu_scalar_curvature,
     positivity_certificate,
     residual,
     scan_chi_roots,
-    solution_basis,
     solve_at,
     solve_chi,
     solve_coefficients,
@@ -33,6 +36,20 @@ RULED = SurfaceSpec.ruled(1, 0, 2.0)
 # frozen regression: the lam=0 root on the ruled surface (also the boundary
 # of the chi-window swept by the negative-lambda continuity path)
 RULED_LAM0_CHI = -0.2648788736485548
+
+
+def basis(spec, lam, chi):
+    """f1..f4 with phi = a f1 + b f2 + c f3 + f4, as closed-form profiles.
+
+    f1, f2 are the profiles with (a, b) = (1, 0), (0, 1) and no polynomial;
+    f3, f4 are the particular-part polynomials P3, P4 over 1 - k tau.
+    """
+    p3, p4 = _psi_parts(spec, lam, chi, 1.0)
+    dom = (spec.tau_lo, spec.tau_hi)
+    return tuple(
+        ClosedFormProfile(a, b, chi, tuple(poly), spec.k, dom, lam).value
+        for a, b, poly in ((1.0, 0.0, (0.0,)), (0.0, 1.0, (0.0,)), (0.0, 0.0, p3), (0.0, 0.0, p4))
+    )
 
 
 # -- mu_scalar_curvature ---------------------------------------------------------
@@ -71,9 +88,6 @@ def test_assembled_basis_annihilates_to_constant(rng):
     # phi = a f1 + b f2 + c f3 + f4 must have curvature identically c, for
     # any (a, b, c): the exponential part lies in the kernel of the operator
     # and the particular part produces exactly the constant
-    from mucsck.profiles import ClosedFormProfile
-    from mucsck.solver import _psi_parts
-
     for spec in (CP1, RULED):
         lam, chi = 1.7, -0.9
         a, b, c = rng.normal(size=3)
@@ -85,8 +99,7 @@ def test_assembled_basis_annihilates_to_constant(rng):
         vals = mu_scalar_curvature(spec, prof, TorusWeight(chi), lam, ts)
         assert np.allclose(vals, c, atol=1e-9)
         # cross-check the basis functions assemble to the same profile
-        basis = solution_basis(spec, lam, TorusWeight(chi))
-        f1, f2, f3, f4 = basis.functions()
+        f1, f2, f3, f4 = basis(spec, lam, chi)
         assembled = a * f1(ts) + b * f2(ts) + c * f3(ts) + f4(ts)
         assert np.allclose(assembled, prof.value(ts), rtol=1e-12, atol=1e-12)
 
@@ -101,24 +114,46 @@ def test_domain_error_at_endpoint():
 
 def test_basis_cp1_explicit_parts():
     chi = 1.3
-    basis = solution_basis(CP1, 5.0, TorusWeight(chi))
-    assert basis.f3(0.7) == pytest.approx(-1.0 / chi ** 2, rel=1e-14)
-    assert basis.f4(0.7) == pytest.approx((5.0 / chi) * 0.7 + 2 * 5.0 / chi ** 2, rel=1e-14)
-    assert basis.f1(0.7) == pytest.approx(np.exp(chi * 0.7), rel=1e-14)
-    assert basis.f2(0.7) == pytest.approx(0.7 * np.exp(chi * 0.7), rel=1e-14)
+    f1, f2, f3, f4 = basis(CP1, 5.0, chi)
+    assert f3(0.7) == pytest.approx(-1.0 / chi ** 2, rel=1e-14)
+    assert f4(0.7) == pytest.approx((5.0 / chi) * 0.7 + 2 * 5.0 / chi ** 2, rel=1e-14)
+    assert f1(0.7) == pytest.approx(np.exp(chi * 0.7), rel=1e-14)
+    assert f2(0.7) == pytest.approx(0.7 * np.exp(chi * 0.7), rel=1e-14)
 
 
 def test_basis_ruled_c_part_structure():
     chi, k = -0.8, 1
-    basis = solution_basis(RULED, 2.0, TorusWeight(chi))
+    f3 = basis(RULED, 2.0, chi)[2]
     t = -0.5
     expect = ((k / chi ** 2) * t + 2 * k / chi ** 3 - 1.0 / chi ** 2) / (1 - k * t)
-    assert basis.f3(t) == pytest.approx(expect, rel=1e-13)
+    assert f3(t) == pytest.approx(expect, rel=1e-13)
 
 
 def test_basis_rejects_tiny_chi():
     with pytest.raises(ChiZeroBranchError):
-        solution_basis(CP1, 1.0, TorusWeight(1e-8))
+        solve_coefficients(CP1, 1.0, TorusWeight(1e-8))
+
+
+def test_mp_profile_matches_float_twin():
+    # the one psi formula, evaluated node by node in mpmath and vectorised in
+    # float, agrees on the same coefficients up to their float rounding
+    lam, chi = 4.0, 1.3
+    with mp.workdps(60):
+        _, prof_mp = _solve(CP1, lam, chi, mpf(1))
+    twin = ClosedFormProfile(float(prof_mp.a), float(prof_mp.b), chi,
+                             tuple(float(c) for c in prof_mp.poly_coeffs),
+                             prof_mp.k, prof_mp.domain, prof_mp.lam)
+    assert prof_mp.use_mp and not twin.use_mp
+    ts = np.linspace(CP1.tau_lo, CP1.tau_hi, 41)[1:-1]
+    for method in ("value", "deriv", "deriv2"):
+        got, ref = getattr(prof_mp, method)(ts), getattr(twin, method)(ts)
+        assert np.allclose(got, ref, rtol=1e-12, atol=0.0), method
+    ref = _free_deriv(CP1, twin, 1.0)
+    assert float(_free_deriv(CP1, prof_mp, 1.0)) == pytest.approx(ref, rel=1e-12)
+    with mp.workdps(60):
+        exact = _free_deriv(CP1, prof_mp, mpf(1))
+    assert isinstance(exact, mpf)
+    assert float(exact) == pytest.approx(ref, rel=1e-12)
 
 
 # -- solve_coefficients vs independent closed forms --------------------------------
