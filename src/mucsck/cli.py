@@ -22,7 +22,7 @@ from .functionals import FunctionalContext, d_mu_vol, find_critical, mu_vol, vol
 from .io import profile_rows, write_csv, write_json
 from .path import phase_diagram, trace
 from .solver import solve_chi
-from .surfaces import SurfaceSpec
+from .surfaces import CP1, SurfaceSpec
 
 COMMANDS = ("muvol", "solve", "path", "energy", "phase", "futaki")
 
@@ -35,7 +35,10 @@ def _check_keys(blob: dict, allowed, where: str):
 
 def _finite(value, where: str) -> float:
     """A config number as a float; json accepts NaN and Infinity, the CLI does not."""
-    val = float(value)
+    try:
+        val = float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{where} must be a number, got {value!r}")
     if not math.isfinite(val):
         raise ConfigError(f"{where} must be finite, got {val}")
     return val
@@ -96,6 +99,8 @@ def resolve_output(cfg: dict, args) -> tuple:
         raise ConfigError(f"format must be csv or json, got {fmt!r}")
     if path is None:
         raise ConfigError("no output path given (config output.path or --out)")
+    if not isinstance(path, str):
+        raise ConfigError(f"output.path must be a string, got {path!r}")
     out_dir = os.environ.get("MUCSCK_OUT_DIR")
     if out_dir:
         path = os.path.join(out_dir, os.path.basename(path))
@@ -165,6 +170,8 @@ def cmd_path(cfg, spec, path, fmt, quiet):
 def cmd_energy(cfg, spec, path, fmt, quiet):
     from .energy import GeodesicPath, muk_energy_partial, potential_from_profile
 
+    if spec.kind != CP1:
+        raise ConfigError("energy is implemented on the line (surface.kind CP1)")
     lam = _finite(cfg.get("lambda", 0.0), "lambda")
     w = TorusWeight(_finite(cfg.get("chi", 0.0), "chi"))
     t_grid = _monotone(cfg.get("t_grid", list(np.linspace(0.0, 1.0, 21))), "t_grid")
@@ -186,9 +193,11 @@ def cmd_energy(cfg, spec, path, fmt, quiet):
                         tuple(_finite(v, "endpoint.bracket") for v in bracket))
         u1 = potential_from_profile(res.profile, spec)
     elif kind == "perturbed":
-        u1 = potential_from_profile(
-            spec.perturbed_profile(_finite(end.get("eps", 0.05), "endpoint.eps")), spec
-        )
+        try:
+            bumped = spec.perturbed_profile(_finite(end.get("eps", 0.05), "endpoint.eps"))
+        except ValueError as exc:
+            raise ConfigError(f"endpoint.eps: {exc}")
+        u1 = potential_from_profile(bumped, spec)
     else:
         raise ConfigError(f"endpoint.kind must be fs, solve, or perturbed, got {kind!r}")
     geo = GeodesicPath(u0, u1)
@@ -287,12 +296,11 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except MucsckError as exc:
+    except (MucsckError, ValueError) as exc:
+        # every config value is checked where it is parsed, so a ValueError
+        # here (numpy's LinAlgError among them) comes from the numerics
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (TypeError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

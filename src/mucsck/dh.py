@@ -10,6 +10,15 @@ so this module is the single integration backend.  Averages and log-masses
 are computed with max-subtraction in the exponent so that weights spanning
 hundreds of orders of magnitude (continuity-path endpoints, properness
 scans) stay finite.
+
+The rule is one fixed composite Gauss-Legendre rule: PANELS equal panels of
+GAUSS_NODES nodes each, evaluated in a single pass.  The integrands are
+entire in tau (polynomials times e^{-chi tau}), so Gauss-Legendre converges
+geometrically on every panel: 128 panels integrate e^{-chi tau} to 5e-15
+relative at |chi| * width = 630, past the properness scan's 400, and 128 is
+where an adaptive panel doubling (tolerance 1e-12) stopped on every integral
+of the test suite.  `_panel_nodes` is the one source of nodes and weights,
+also for the chi-grid scan in `functionals` and the energy grid in `energy`.
 """
 
 from __future__ import annotations
@@ -22,9 +31,7 @@ import numpy as np
 from .errors import EvaluationError
 
 GAUSS_NODES = 16
-BASE_PANELS = 64
-MAX_PANELS = 4096
-PANEL_TOL = 1e-12
+PANELS = 128
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(GAUSS_NODES)
 
@@ -94,7 +101,8 @@ class DHMeasure:
         return DHMeasure(self.tau_min + c, self.tau_max + c, tuple(moved.coef), self.scale)
 
 
-def _panel_nodes(measure: DHMeasure, panels: int):
+def _panel_nodes(measure: DHMeasure, panels: int = PANELS):
+    """Nodes and weights of the composite Gauss-Legendre rule on the interval."""
     edges = np.linspace(measure.tau_min, measure.tau_max, panels + 1)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
@@ -103,8 +111,9 @@ def _panel_nodes(measure: DHMeasure, panels: int):
     return nodes.ravel(), weights.ravel()
 
 
-def _raw_integral(measure: DHMeasure, f, chi: float, panels: int, shift: float) -> float:
-    nodes, weights = _panel_nodes(measure, panels)
+def _integrate_shifted(measure: DHMeasure, f, chi: float, shift: float) -> float:
+    """scale * int f p e^{-chi tau - shift} dtau by the composite Gauss rule."""
+    nodes, weights = _panel_nodes(measure)
     fv = np.asarray(f(nodes), dtype=float)
     if fv.shape != nodes.shape:
         fv = np.broadcast_to(fv, nodes.shape)
@@ -112,20 +121,7 @@ def _raw_integral(measure: DHMeasure, f, chi: float, panels: int, shift: float) 
         bad = nodes[~np.isfinite(fv)][0]
         raise EvaluationError(f"integrand is not finite at tau={bad}", node=bad)
     vals = fv * measure.density(nodes) * np.exp(-chi * nodes - shift)
-    return float(np.sum(vals * weights))
-
-
-def _integrate_shifted(measure: DHMeasure, f, chi: float, shift: float) -> float:
-    """scale * int f p e^{-chi tau - shift} dtau by panel-doubling Gauss-Legendre."""
-    panels = BASE_PANELS
-    prev = _raw_integral(measure, f, chi, panels, shift)
-    while panels < MAX_PANELS:
-        panels *= 2
-        cur = _raw_integral(measure, f, chi, panels, shift)
-        if abs(cur - prev) <= PANEL_TOL * max(1.0, abs(cur)):
-            return measure.scale * cur
-        prev = cur
-    return measure.scale * prev
+    return measure.scale * float(np.sum(vals * weights))
 
 
 def _exponent_shift(measure: DHMeasure, chi: float) -> float:
@@ -136,8 +132,8 @@ def _exponent_shift(measure: DHMeasure, chi: float) -> float:
 def integrate_weighted(measure: DHMeasure, f, w: TorusWeight) -> float:
     """scale * int f(tau) p(tau) e^{-chi tau} dtau.
 
-    Deterministic for a fixed node count; raises EvaluationError naming the
-    node if f is non-finite there.
+    Deterministic; raises EvaluationError naming the node if f is non-finite
+    there.
     """
     return _integrate_shifted(measure, f, w.chi, 0.0)
 

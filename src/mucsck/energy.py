@@ -13,7 +13,11 @@ geodesics; the energy functional is evaluated two independent ways:
   reference metric only.
 
 Both are normalized per weighted volume, so the slope of the flow-generated
-geodesic equals minus the obstruction functional exactly.
+geodesic equals minus the obstruction functional exactly.  Both integrate in
+tau on one grid: the dh composite Gauss-Legendre rule with TAU_PANELS
+uniform panels, without refinement at the endpoints (the integrands stay
+smooth there because the canonical part of U absorbs the boundary
+singularity).  The curvature comes from the one formula in the solver.
 """
 
 from __future__ import annotations
@@ -24,24 +28,18 @@ import numpy as np
 from numpy.polynomial.chebyshev import Chebyshev
 from scipy.optimize import brentq
 
-from .dh import TorusWeight
+from .dh import TorusWeight, _panel_nodes
 from .errors import DomainError, PathDegeneracyError
+from .solver import mu_curvatures
 from .surfaces import CP1, SurfaceSpec
 
 T_GAUSS_NODES = 32
 TAU_PANELS = 64
-EDGE_REFINE = 4
-GAUSS_PER_PANEL = 16
 DEFAULT_DEG = 96
 
 _TX, _TW = np.polynomial.legendre.leggauss(T_GAUSS_NODES)
 _T_NODES = 0.5 * (_TX + 1.0)
 _T_WEIGHTS = 0.5 * _TW
-_GX, _GW = np.polynomial.legendre.leggauss(GAUSS_PER_PANEL)
-
-
-def _zero_cheb(m):
-    return Chebyshev([0.0], domain=[0.0, 2.0 * m])
 
 
 @dataclass(frozen=True)
@@ -58,7 +56,7 @@ class SymplecticPotential:
 
     @classmethod
     def canonical(cls, m: float) -> "SymplecticPotential":
-        return cls(float(m), _zero_cheb(m))
+        return cls(float(m), Chebyshev([0.0], domain=[0.0, 2.0 * m]))
 
     @classmethod
     def from_profile(cls, profile, m: float, deg: int = DEFAULT_DEG) -> "SymplecticPotential":
@@ -190,73 +188,46 @@ def vector_field_path(u0: SymplecticPotential, chi_dir: float) -> GeodesicPath:
     return GeodesicPath(u0, u0.plus_smooth(affine))
 
 
-# -- quadrature grid --------------------------------------------------------------------
-
-
-def _tau_nodes(m: float):
-    """Composite Gauss nodes with 4x-refined endpoint panels."""
-    width = 2.0 * m
-    edges = [0.0]
-    base = width / TAU_PANELS
-    fine = base / EDGE_REFINE
-    for i in range(EDGE_REFINE):
-        edges.append(edges[-1] + fine)
-    for i in range(TAU_PANELS - 2):
-        edges.append(edges[-1] + base)
-    for i in range(EDGE_REFINE):
-        edges.append(edges[-1] + fine)
-    edges = np.array(edges)
-    edges[-1] = width
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * _GX[None, :]).ravel()
-    weights = (half[:, None] * _GW[None, :]).ravel()
-    return nodes, weights
+# -- quadrature grid and pointwise curvature -------------------------------------------
 
 
 def _weight_data(spec: SurfaceSpec, w: TorusWeight):
-    nodes, wts = _tau_nodes(spec.m)
     meas = spec.measure
+    nodes, wts = _panel_nodes(meas, TAU_PANELS)
     dens = meas.density(nodes) * meas.scale
     expw = np.exp(-w.chi * nodes)
     mass_w = float(np.sum(dens * expw * wts))
     return nodes, wts, dens, expw, mass_w
 
 
-# -- pointwise curvature from a potential --------------------------------------------------
+def _phi_jet(pot: SymplecticPotential, nodes):
+    """(phi, phi', phi'') of phi = 1/U'' at the nodes.
 
-
-def _curvature_terms(pot: SymplecticPotential, nodes, chi: float, lam: float):
-    u2 = pot.d2(nodes)
-    if np.any(u2 <= 0.0):
-        raise PathDegeneracyError("potential lost convexity", t=None)
+    U'' and its next two derivatives are evaluated once each.
+    """
+    u2 = _require_convex(pot, nodes)
     u3, u4 = pot.d3(nodes), pot.d4(nodes)
-    f = 1.0 / u2
-    fp = -u3 / u2 ** 2
-    fpp = -u4 / u2 ** 2 + 2.0 * u3 ** 2 / u2 ** 3
-    s_lam = -(fpp - 2.0 * chi * fp + chi ** 2 * f) + lam * chi * nodes
-    s_box = -fpp + chi * fp
-    return f, fp, fpp, s_lam, s_box
+    return 1.0 / u2, -u3 / u2 ** 2, -u4 / u2 ** 2 + 2.0 * u3 ** 2 / u2 ** 3
 
 
 def _inner_product(spec, w, lam, pot, vel_vals, grid):
     """<shat^lam(g_t), U-dot>_w / V_w at one path time."""
     nodes, wts, dens, expw, mass_w = grid
-    f, fp, fpp, s_lam, s_box = _curvature_terms(pot, nodes, w.chi, lam)
+    s_lam, s_box = mu_curvatures(spec, w.chi, lam, nodes, _phi_jet(pot, nodes))
     bary = float(np.sum(nodes * dens * expw * wts)) / mass_w
     sbar_lam = float(np.sum(s_box * dens * expw * wts)) / mass_w + lam * w.chi * bary
     shat = s_lam - sbar_lam
     return float(np.sum(shat * vel_vals * dens * expw * wts)) / mass_w
 
 
-def muk_energy_path(spec: SurfaceSpec, w: TorusWeight, lam: float, path) -> float:
-    """Path-integral energy along t in [0, 1] (Gauss, 32 nodes)."""
-    if spec.kind != CP1:
-        raise ValueError("energy functional is implemented on the line")
+def _energy_until(spec: SurfaceSpec, w: TorusWeight, lam: float, path, t_end: float) -> float:
+    """Path-integral energy over [0, t_end] (Gauss, 32 nodes in t)."""
     grid = _weight_data(spec, w)
     nodes = grid[0]
     total = 0.0
-    for t, tw in zip(_T_NODES, _T_WEIGHTS):
+    for x, xw in zip(_TX, _TW):
+        t = 0.5 * t_end * (x + 1.0)
+        tw = 0.5 * t_end * xw
         pot = path.at(t)
         try:
             inner = _inner_product(spec, w, lam, pot, path.velocity(t)(nodes), grid)
@@ -264,6 +235,13 @@ def muk_energy_path(spec: SurfaceSpec, w: TorusWeight, lam: float, path) -> floa
             raise PathDegeneracyError("potential lost convexity along the path", t=float(t))
         total += tw * inner
     return total
+
+
+def muk_energy_path(spec: SurfaceSpec, w: TorusWeight, lam: float, path) -> float:
+    """Path-integral energy along t in [0, 1]."""
+    if spec.kind != CP1:
+        raise ValueError("energy functional is implemented on the line")
+    return _energy_until(spec, w, lam, path, 1.0)
 
 
 def muk_energy_endpoint_derivative(
@@ -357,10 +335,8 @@ def muk_energy_chen_tian(spec: SurfaceSpec, w: TorusWeight, lam: float, u0, u1) 
     nodes, wts, dens, expw, mass_w = grid
 
     f0_prof = PotentialProfile(u0)
-    f0 = np.asarray(f0_prof.value(nodes))
-    f0p = np.asarray(f0_prof.deriv(nodes))
-    f0pp = np.asarray(f0_prof.deriv2(nodes))
-    sbar0 = float(np.sum((-f0pp + chi * f0p) * dens * expw * wts)) / mass_w
+    _, box0 = mu_curvatures(spec, chi, lam, nodes, _phi_jet(u0, nodes))
+    sbar0 = float(np.sum(box0 * dens * expw * wts)) / mass_w
     theta_bar = -chi * (float(np.sum(nodes * dens * expw * wts)) / mass_w)
 
     path = GeodesicPath(u0, u1)
@@ -374,7 +350,7 @@ def muk_energy_chen_tian(spec: SurfaceSpec, w: TorusWeight, lam: float, u0, u1) 
         tau_t = compose_moment_maps(u0, pot, nodes)
         phidot_on_base = -vel(tau_t)
         two_form = float(np.sum(
-            phidot_on_base * np.exp(-chi * tau_t) * (-f0pp + chi * f0p)
+            phidot_on_base * np.exp(-chi * tau_t) * box0
             * spec.measure.scale * wts
         ))
         # zero-form piece and the sbar/lam terms: g_t-momentum integrals
@@ -403,15 +379,7 @@ def muk_energy_partial(spec: SurfaceSpec, w: TorusWeight, lam: float, path, t_en
     """Energy accumulated along the path restricted to [0, t_end]."""
     if t_end < 0.0:
         raise ValueError("t_end must be nonnegative")
-    grid = _weight_data(spec, w)
-    nodes = grid[0]
-    total = 0.0
-    for x, xw in zip(_TX, _TW):
-        t = 0.5 * t_end * (x + 1.0)
-        tw = 0.5 * t_end * xw
-        pot = path.at(t)
-        total += tw * _inner_product(spec, w, lam, pot, path.velocity(t)(nodes), grid)
-    return total
+    return _energy_until(spec, w, lam, path, t_end)
 
 
 def geodesic_convexity(spec: SurfaceSpec, w: TorusWeight, lam: float, path, t_grid):

@@ -26,6 +26,7 @@ from scipy.optimize import brentq
 
 from .dh import (
     TorusWeight,
+    _panel_nodes,
     barycenter,
     integrate_weighted,
     log_mass,
@@ -33,8 +34,8 @@ from .dh import (
     weighted_average,
 )
 from .errors import MucsckError
-from .solver import mu_scalar_curvature
-from .surfaces import CP1, SurfaceSpec
+from .solver import mu_curvatures, mu_scalar_curvature, psi_jet
+from .surfaces import SurfaceSpec
 
 CRITICAL_SCAN_ABS = (1e-3, 30.0)
 CRITICAL_PER_DECADE = 40
@@ -92,19 +93,6 @@ def scalar_curvature(ctx: FunctionalContext, tau):
     return mu_scalar_curvature(ctx.spec, ctx.reference_profile, TorusWeight(0.0), 0.0, tau)
 
 
-def _s_plus_box(ctx: FunctionalContext, w: TorusWeight, tau):
-    """s + trace-Laplacian of theta, the Bakry-Emery part of the curvature."""
-    spec, prof = ctx.spec, ctx.reference_profile
-    t = np.asarray(tau, dtype=float)
-    if spec.kind == CP1:
-        return -prof.deriv2(t) + w.chi * prof.deriv(t)
-    den = 1.0 - spec.k * t
-    phi, dphi, d2phi = prof.value(t), prof.deriv(t), prof.deriv2(t)
-    psi_d = den * dphi - spec.k * phi
-    psi_dd = den * d2phi - 2.0 * spec.k * dphi
-    return (-psi_dd + w.chi * psi_d + spec.l_g) / den
-
-
 def theta_bar(ctx: FunctionalContext, w: TorusWeight) -> float:
     """Weighted mean of the Hamiltonian potential -chi tau + shift."""
     return -w.chi * barycenter(ctx.measure, w) + ctx.shift
@@ -115,7 +103,9 @@ def theta_bar(ctx: FunctionalContext, w: TorusWeight) -> float:
 
 def sbar(ctx: FunctionalContext, w: TorusWeight, lam: float) -> float:
     """Weighted average of (s + box theta - lam theta); a class constant."""
-    base = weighted_average(ctx.measure, lambda t: _s_plus_box(ctx, w, t), w)
+    spec, prof = ctx.spec, ctx.reference_profile
+    base = weighted_average(
+        ctx.measure, lambda t: mu_curvatures(spec, w.chi, lam, t, psi_jet(spec, prof, t))[1], w)
     return base - lam * theta_bar(ctx, w)
 
 
@@ -293,33 +283,25 @@ def _scan_grid(chi_range):
     return grid[(grid >= chi_range[0]) & (grid <= chi_range[1])]
 
 
-def _dmuvol_on_grid(ctx: FunctionalContext, lam: float, chis, panels: int = 256):
+def _dmuvol_on_grid(ctx: FunctionalContext, lam: float, chis):
     """Vectorized d_mu_vol over a chi grid with unit direction.
 
     The weighted curvature is quadratic in chi with tau-dependent
-    coefficients, so all profile evaluations are shared across the grid;
-    each chi then only contributes its exponential weight.  Fixed panel
-    count (the integrands are entire in tau), deterministic.
+    coefficients, s^lam = A + chi B + chi^2 C, and its Bakry-Emery part is
+    A + chi B0; all are read off the curvature at chi = 0 and chi = +-1, so
+    the profile is evaluated once for the whole grid and each chi only
+    contributes its exponential weight.  Deterministic, on the dh rule.
     """
-    from .dh import _panel_nodes
-
-    spec, prof, meas = ctx.spec, ctx.reference_profile, ctx.measure
-    nodes, wts = _panel_nodes(meas, panels)
-    pw = meas.density(nodes) * wts
-    t = nodes
-    phi, dphi, d2phi = prof.value(t), prof.deriv(t), prof.deriv2(t)
-    if spec.kind == CP1:
-        A = -d2phi
-        B = 2.0 * dphi + lam * t
-        C = -phi
-    else:
-        den = 1.0 - spec.k * t
-        psi = den * phi
-        dpsi = den * dphi - spec.k * phi
-        d2psi = den * d2phi - 2.0 * spec.k * dphi
-        A = (-d2psi + spec.l_g) / den
-        B = 2.0 * dpsi / den + lam * t
-        C = -psi / den
+    spec, meas = ctx.spec, ctx.measure
+    t, wts = _panel_nodes(meas)
+    pw = meas.density(t) * wts
+    jet = psi_jet(spec, ctx.reference_profile, t)
+    _, A = mu_curvatures(spec, 0.0, lam, t, jet)
+    s_plus, box_plus = mu_curvatures(spec, 1.0, lam, t, jet)
+    s_minus, _ = mu_curvatures(spec, -1.0, lam, t, jet)
+    B = 0.5 * (s_plus - s_minus)
+    C = 0.5 * (s_plus + s_minus) - A
+    B0 = box_plus - A
     chis = np.asarray(chis, dtype=float)
     shift = np.maximum(-chis * meas.tau_min, -chis * meas.tau_max)
     wmat = np.exp(-chis[:, None] * t[None, :] - shift[:, None]) * pw[None, :]
@@ -328,10 +310,7 @@ def _dmuvol_on_grid(ctx: FunctionalContext, lam: float, chis, panels: int = 256)
     def avg(f_vals):
         return (wmat @ f_vals) / mass
 
-    # s^lam(tau; chi) = A + chi B + chi^2 C, while the Bakry-Emery part
-    # s + box(theta) carries only half of the chi-linear term: A + chi (B - lam t)/2.
     # Futaki in the unit direction: -(avg(s^lam tau) - sbar^lam avg(tau)).
-    B0 = 0.5 * (B - lam * t)
     avg_t = avg(t)
     sbar_lam = avg(A) + chis * avg(B0) + lam * chis * avg_t
     s_tau = avg(A * t) + chis * avg(B * t) + chis ** 2 * avg(C * t)

@@ -267,33 +267,42 @@ def residual(spec: SurfaceSpec, lam: float, w: TorusWeight) -> float:
     return _shooting_residual(spec, profile)
 
 
-def mu_scalar_curvature(spec: SurfaceSpec, profile, w: TorusWeight, lam: float, tau):
-    """Pointwise weighted scalar curvature of the profile's metric.
+def psi_jet(spec: SurfaceSpec, profile, t):
+    """(psi, psi', psi'') of psi = (1 - k tau) phi at the nodes t.
 
-    Line: -(d/dtau - chi)^2 phi + lam chi tau.
-    Ruled: -(1-k tau)^{-1} (d/dtau - chi)^2 ((1-k tau) phi) + chi lam tau
-           + l_g/(1-k tau).
+    A ClosedFormProfile of the surface's k gives them directly; any other
+    profile goes through phi, phi', phi''.
     """
+    if isinstance(profile, ClosedFormProfile) and profile.k == spec.k:
+        return profile.psi_value(t), profile.psi_deriv(t), profile.psi_deriv2(t)
+    k = spec.k
+    den = 1.0 - k * t
+    phi, dphi, d2phi = profile.value(t), profile.deriv(t), profile.deriv2(t)
+    return den * phi, den * dphi - k * phi, den * d2phi - 2.0 * k * dphi
+
+
+def mu_curvatures(spec: SurfaceSpec, chi: float, lam: float, t, jet):
+    """(s^lam, s + box theta) at the nodes t from the psi jet (psi, psi', psi'').
+
+    s^lam = -(1-k tau)^{-1} (d/dtau - chi)^2 psi + chi lam tau + l_g/(1-k tau)
+    is the weighted scalar curvature, s + box theta its Bakry-Emery part.  The
+    line is the case k = 0 (psi = phi) without the base-curvature term l_g.
+    """
+    psi, dpsi, d2psi = jet
+    den = 1.0 - spec.k * t
+    base = 0.0 if spec.kind == CP1 else spec.l_g
+    s_lam = -(d2psi - 2.0 * chi * dpsi + chi ** 2 * psi) / den + chi * lam * t + base / den
+    s_box = (-d2psi + chi * dpsi + base) / den
+    return s_lam, s_box
+
+
+def mu_scalar_curvature(spec: SurfaceSpec, profile, w: TorusWeight, lam: float, tau):
+    """Pointwise weighted scalar curvature s^lam of the profile's metric."""
     t = np.asarray(tau, dtype=float)
     lo, hi = spec.tau_lo, spec.tau_hi
     if np.any(t <= lo) or np.any(t >= hi):
         raise DomainError(f"tau must lie in the open interval ({lo}, {hi})")
-    chi = w.chi
-    if spec.kind == CP1:
-        phi, dphi, d2phi = profile.value(t), profile.deriv(t), profile.deriv2(t)
-        out = -(d2phi - 2.0 * chi * dphi + chi ** 2 * phi) + lam * chi * t
-    else:
-        den = 1.0 - spec.k * t
-        if np.any(den <= 0.0):
-            raise DomainError("1 - k tau must stay positive")
-        if isinstance(profile, ClosedFormProfile) and profile.k == spec.k:
-            psi, dpsi, d2psi = profile.psi_value(t), profile.psi_deriv(t), profile.psi_deriv2(t)
-        else:
-            phi, dphi, d2phi = profile.value(t), profile.deriv(t), profile.deriv2(t)
-            psi = den * phi
-            dpsi = den * dphi - spec.k * phi
-            d2psi = den * d2phi - 2.0 * spec.k * dphi
-        out = -(d2psi - 2.0 * chi * dpsi + chi ** 2 * psi) / den + chi * lam * t + spec.l_g / den
+    out = mu_curvatures(spec, w.chi, lam, t, psi_jet(spec, profile, t))[0]
     return out if np.asarray(tau).shape else float(out)
 
 

@@ -1,8 +1,10 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
+import mucsck.cli as cli
 from mucsck.cli import main
 from mucsck.io import fmt17
 
@@ -213,3 +215,29 @@ def test_infinite_integer_values_exit_2(tmp_path):
     cfg = {"surface": CP1, "lambda": 5.0, "bracket": [0.1, 5.0], "profile_points": float("inf")}
     code, _ = run(tmp_path, "solve", cfg)
     assert code == 2
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("solve", {"surface": CP1, "lambda": "abc", "bracket": [0.1, 5.0]}),
+    ("futaki", {"surface": CP1, "lambda": [1], "chi": 0.5}),
+    ("energy", {"surface": CP1, "lambda": 1.0, "chi": 0.5,
+                "endpoint": {"kind": "perturbed", "eps": -5.0}}),
+    ("energy", {"surface": RULED, "lambda": 1.0, "chi": 0.5}),
+])
+def test_bad_config_value_exits_2(tmp_path, capsys, command, cfg):
+    code, _ = run(tmp_path, command, cfg)
+    assert code == 2
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("exc", [ValueError("f(a) and f(b) must have different signs"),
+                                 np.linalg.LinAlgError("Singular matrix")])
+def test_numerical_value_error_exits_3(tmp_path, capsys, monkeypatch, exc):
+    # a ValueError from the numerics is a numerical failure, not a config error
+    def failing_solve(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "solve_chi", failing_solve)
+    code, _ = run(tmp_path, "solve", {"surface": CP1, "lambda": 5.0, "bracket": [0.1, 5.0]})
+    assert code == 3
+    assert "numerical failure" in capsys.readouterr().err

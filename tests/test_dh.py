@@ -89,7 +89,8 @@ def test_shift_covariance(rng):
         assert math.exp(w.chi * c) * shifted_val == pytest.approx(base, rel=1e-12)
 
 
-@pytest.mark.parametrize("chi", [1e-3, -1e-3, 0.3, -2.0, 7.0, -20.0, 20.0])
+# chi = +-64 puts |chi| * width at about 402, past the t = 200 properness scan
+@pytest.mark.parametrize("chi", [1e-3, -1e-3, 0.3, -2.0, 7.0, -20.0, 20.0, -64.0, 64.0])
 def test_closed_form_agreement_unit_density(chi):
     got = integrate_weighted(SYM, lambda t: np.ones_like(t), TorusWeight(chi))
     expect = unit_density_mass(-math.pi, math.pi, chi)

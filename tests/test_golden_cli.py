@@ -7,7 +7,10 @@ windows (|chi|*width > 10 and |chi| < 1e-2) and across the float -> mp switch
 along a path.
 
 The golden files were written by the code before the closed-form profile
-was unified.  To rewrite them after an intended output change (which must be
+was unified, except `energy_perturbed.csv`: it was rewritten when the energy
+grid became the dh rule with 64 uniform panels (1024 nodes, before 1120 with
+4x-refined end panels), which moved 7 of its 13 values by at most 3.5e-17
+absolute.  To rewrite them after an intended output change (which must be
 recorded with its size and oracle in CHANGES.md), run
 
     PYTHONPATH=src python tests/test_golden_cli.py

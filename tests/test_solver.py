@@ -156,6 +156,34 @@ def test_mp_profile_matches_float_twin():
     assert float(exact) == pytest.approx(ref, rel=1e-12)
 
 
+class _PhiOnly:
+    """A profile seen only through phi, phi', phi'' (no psi methods)."""
+
+    def __init__(self, profile):
+        self.value, self.deriv, self.deriv2 = profile.value, profile.deriv, profile.deriv2
+
+
+@pytest.mark.parametrize("lam, chi", [(4.0, 1.3), (12.0, 5.9955)])
+@pytest.mark.parametrize("arith", ["float", "mp"])
+def test_mu_scalar_curvature_psi_route_matches_phi_route(lam, chi, arith):
+    # on the line psi = phi, so the psi jet of a ClosedFormProfile and the phi
+    # jet give the same weighted curvature, bit for bit
+    if arith == "mp":
+        with mp.workdps(60):
+            _, prof = _solve(CP1, lam, chi, mpf(1))
+    else:
+        _, prof = _solve(CP1, lam, chi, 1.0)
+    assert prof.use_mp == (arith == "mp")
+    ts = np.linspace(CP1.tau_lo, CP1.tau_hi, 67)[1:-1]
+    w = TorusWeight(chi)
+    via_psi = mu_scalar_curvature(CP1, prof, w, lam, ts)
+    via_phi = mu_scalar_curvature(CP1, _PhiOnly(prof), w, lam, ts)
+    assert np.array_equal(via_psi, via_phi)
+    phi, dphi, d2phi = prof.value(ts), prof.deriv(ts), prof.deriv2(ts)
+    direct = -(d2phi - 2.0 * chi * dphi + chi ** 2 * phi) + lam * chi * ts
+    assert np.array_equal(via_psi, direct)
+
+
 # -- solve_coefficients vs independent closed forms --------------------------------
 
 
