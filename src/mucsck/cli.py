@@ -22,7 +22,7 @@ from .functionals import FunctionalContext, d_mu_vol, find_critical, mu_vol, vol
 from .io import profile_rows, write_csv, write_json
 from .path import phase_diagram, trace
 from .solver import solve_chi
-from .surfaces import CP1, SurfaceSpec
+from .surfaces import CP1, RULED, SurfaceSpec
 
 COMMANDS = ("muvol", "solve", "path", "energy", "phase", "futaki")
 
@@ -34,14 +34,21 @@ def _check_keys(blob: dict, allowed, where: str):
 
 
 def _finite(value, where: str) -> float:
-    """A config number as a float; json accepts NaN and Infinity, the CLI does not."""
-    try:
-        val = float(value)
-    except (TypeError, ValueError, OverflowError):
+    """A config number as a float: a JSON number (not a bool or a string), and
+    finite; json accepts NaN and Infinity, the CLI does not."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where} must be a number, got {value!r}")
+    val = float(value) if abs(value) <= sys.float_info.max else math.inf
     if not math.isfinite(val):
-        raise ConfigError(f"{where} must be finite, got {val}")
+        raise ConfigError(f"{where} must be finite, got {value!r}")
     return val
+
+
+def _integer(value, where: str) -> int:
+    """A config integer: a finite JSON number without a fractional part."""
+    if not _finite(value, where).is_integer():
+        raise ConfigError(f"{where} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _monotone(grid, where: str):
@@ -59,16 +66,16 @@ def _monotone(grid, where: str):
 def parse_surface(blob) -> SurfaceSpec:
     if not isinstance(blob, dict):
         raise ConfigError("surface must be an object")
-    _check_keys(blob, {"kind", "m", "k", "genus"}, "surface")
     kind = blob.get("kind")
+    _check_keys(blob, {"kind", "m", "k", "genus"} if kind == RULED else {"kind", "m"}, "surface")
     try:
-        if kind == "CP1":
-            return SurfaceSpec.cp1(float(blob.get("m", 1.0)))
-        if kind == "Ruled":
-            return SurfaceSpec.ruled(
-                int(blob.get("k", 1)), int(blob.get("genus", 0)), float(blob.get("m", 2.0))
-            )
-    except (TypeError, ValueError, OverflowError) as exc:
+        if kind == CP1:
+            return SurfaceSpec.cp1(_finite(blob.get("m", 1.0), "surface.m"))
+        if kind == RULED:
+            return SurfaceSpec.ruled(_integer(blob.get("k", 1), "surface.k"),
+                                     _integer(blob.get("genus", 0), "surface.genus"),
+                                     _finite(blob.get("m", 2.0), "surface.m"))
+    except ValueError as exc:
         raise ConfigError(f"bad surface parameters: {exc}")
     raise ConfigError(f"surface.kind must be CP1 or Ruled, got {kind!r}")
 
@@ -134,15 +141,15 @@ def cmd_solve(cfg, spec, path, fmt, quiet):
     bracket = cfg.get("bracket")
     if (not isinstance(bracket, (list, tuple))) or len(bracket) != 2:
         raise ConfigError("solve requires bracket: [lo, hi]")
+    n = _integer(cfg.get("profile_points", 257), "profile_points")
+    if n <= 0:
+        raise ConfigError("profile_points must be positive")
     res = solve_chi(spec, lam, tuple(_finite(v, "bracket") for v in bracket))
     if fmt == "json":
         payload = res.to_dict()
         payload["x"] = spec.chi_to_x(res.chi)
         write_json(path, payload)
     else:
-        n = int(_finite(cfg.get("profile_points", 257), "profile_points"))
-        if n <= 0:
-            raise ConfigError("profile_points must be positive")
         rows = profile_rows(spec, res.profile, TorusWeight(res.chi), res.lam, n)
         write_csv(path, ["tau", "phi", "dphi", "s_mu"], rows)
     if not quiet:

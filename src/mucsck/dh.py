@@ -18,13 +18,16 @@ geometrically on every panel: 128 panels integrate e^{-chi tau} to 5e-15
 relative at |chi| * width = 630, past the properness scan's 400, and 128 is
 where an adaptive panel doubling (tolerance 1e-12) stopped on every integral
 of the test suite.  `_panel_nodes` is the one source of nodes and weights,
-also for the chi-grid scan in `functionals` and the energy grid in `energy`.
+also for the energy grid in `energy`.  `DHMeasure.rule` caches the rule's
+nodes, weights and density values, and every integral takes its integrand
+as values on those nodes or as a callable evaluated there once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -90,6 +93,15 @@ class DHMeasure:
     def density(self, tau):
         return np.polynomial.polynomial.polyval(np.asarray(tau, dtype=float), self.density_coeffs)
 
+    @cached_property
+    def rule(self):
+        """(nodes, weights, density at nodes) of the composite Gauss rule; read-only."""
+        nodes, weights = _panel_nodes(self)
+        arrays = (nodes, weights, self.density(nodes))
+        for a in arrays:
+            a.flags.writeable = False
+        return arrays
+
     @property
     def width(self) -> float:
         return self.tau_max - self.tau_min
@@ -112,15 +124,15 @@ def _panel_nodes(measure: DHMeasure, panels: int = PANELS):
 
 
 def _integrate_shifted(measure: DHMeasure, f, chi: float, shift: float) -> float:
-    """scale * int f p e^{-chi tau - shift} dtau by the composite Gauss rule."""
-    nodes, weights = _panel_nodes(measure)
-    fv = np.asarray(f(nodes), dtype=float)
+    """scale * int f p e^{-chi tau - shift} dtau; f is a callable or its values on the nodes."""
+    nodes, weights, dens = measure.rule
+    fv = np.asarray(f(nodes) if callable(f) else f, dtype=float)
     if fv.shape != nodes.shape:
         fv = np.broadcast_to(fv, nodes.shape)
     if not np.all(np.isfinite(fv)):
         bad = nodes[~np.isfinite(fv)][0]
         raise EvaluationError(f"integrand is not finite at tau={bad}", node=bad)
-    vals = fv * measure.density(nodes) * np.exp(-chi * nodes - shift)
+    vals = fv * dens * np.exp(-chi * nodes - shift)
     return measure.scale * float(np.sum(vals * weights))
 
 
@@ -130,7 +142,7 @@ def _exponent_shift(measure: DHMeasure, chi: float) -> float:
 
 
 def integrate_weighted(measure: DHMeasure, f, w: TorusWeight) -> float:
-    """scale * int f(tau) p(tau) e^{-chi tau} dtau.
+    """scale * int f(tau) p(tau) e^{-chi tau} dtau; f is a callable or its values on rule[0].
 
     Deterministic; raises EvaluationError naming the node if f is non-finite
     there.
@@ -141,7 +153,7 @@ def integrate_weighted(measure: DHMeasure, f, w: TorusWeight) -> float:
 def log_mass(measure: DHMeasure, w: TorusWeight) -> float:
     """log of integrate_weighted(measure, 1, w), stable for any chi."""
     shift = _exponent_shift(measure, w.chi)
-    val = _integrate_shifted(measure, lambda t: np.ones_like(t), w.chi, shift)
+    val = _integrate_shifted(measure, 1.0, w.chi, shift)
     return math.log(val) + shift
 
 
@@ -149,7 +161,7 @@ def weighted_average(measure: DHMeasure, f, w: TorusWeight) -> float:
     """int f p e^{-chi tau} / int p e^{-chi tau}; overflow-safe in chi."""
     shift = _exponent_shift(measure, w.chi)
     num = _integrate_shifted(measure, f, w.chi, shift)
-    den = _integrate_shifted(measure, lambda t: np.ones_like(t), w.chi, shift)
+    den = _integrate_shifted(measure, 1.0, w.chi, shift)
     return num / den
 
 

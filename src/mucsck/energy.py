@@ -222,6 +222,8 @@ def _inner_product(spec, w, lam, pot, vel_vals, grid):
 
 def _energy_until(spec: SurfaceSpec, w: TorusWeight, lam: float, path, t_end: float) -> float:
     """Path-integral energy over [0, t_end] (Gauss, 32 nodes in t)."""
+    if spec.kind != CP1:
+        raise ValueError("energy functional is implemented on the line")
     grid = _weight_data(spec, w)
     nodes = grid[0]
     total = 0.0
@@ -239,8 +241,6 @@ def _energy_until(spec: SurfaceSpec, w: TorusWeight, lam: float, path, t_end: fl
 
 def muk_energy_path(spec: SurfaceSpec, w: TorusWeight, lam: float, path) -> float:
     """Path-integral energy along t in [0, 1]."""
-    if spec.kind != CP1:
-        raise ValueError("energy functional is implemented on the line")
     return _energy_until(spec, w, lam, path, 1.0)
 
 

@@ -7,6 +7,15 @@ invariants (sbar, the obstruction functional, the log-volume) are computed
 from one explicit admissible reference profile; independence from that
 choice is a tested property, not an assumption.
 
+A FunctionalContext holds one node table: the reference profile's psi-jet
+and phi on the nodes of the measure's rule, evaluated once, and the
+unweighted statistics s_mean, tau_mean, cov(s, tau) and var(tau).  Every
+functional is a weighted average of arrays on those nodes.  The extremal-
+weight functional C(chi) = 1/4 avg0[(s - s_mean + chi (tau - tau_mean))^2 -
+(s - s_mean)^2] = chi cov / 2 + chi^2 var / 4 is quadratic in chi, so C, its
+minimizer -cov / var and the classical Futaki invariant -chi cov are closed
+forms in those statistics.
+
 Conventions:
 * the directional derivative of log Vol^lam along a direction with weight
   chi_dir is the obstruction functional evaluated on that direction;
@@ -19,20 +28,13 @@ Conventions:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from functools import cached_property, partial
 
 import numpy as np
 from scipy.optimize import brentq
 
-from .dh import (
-    TorusWeight,
-    _panel_nodes,
-    barycenter,
-    integrate_weighted,
-    log_mass,
-    variance,
-    weighted_average,
-)
+from .dh import TorusWeight, barycenter, integrate_weighted, log_mass, variance, weighted_average
 from .errors import MucsckError
 from .solver import mu_curvatures, mu_scalar_curvature, psi_jet
 from .surfaces import SurfaceSpec
@@ -58,6 +60,28 @@ class FunctionalContext:
     def measure(self):
         return self.spec.measure
 
+    @cached_property
+    def jet(self):
+        """(psi, psi', psi'') of the reference profile on the rule's nodes."""
+        return psi_jet(self.spec, self.reference_profile, self.measure.rule[0])
+
+    @cached_property
+    def phi(self):
+        """The reference profile on the rule's nodes."""
+        return np.asarray(self.reference_profile.value(self.measure.rule[0]), dtype=float)
+
+    def curvatures(self, chi: float, lam: float):
+        """(s^lam, s + box theta) of the reference metric on the rule's nodes."""
+        return mu_curvatures(self.spec, chi, lam, self.measure.rule[0], self.jet)
+
+    @cached_property
+    def stats0(self):
+        """Unweighted (s_mean, tau_mean, cov(s, tau), var(tau)) of the reference metric."""
+        t, s = self.measure.rule[0], self.curvatures(0.0, 0.0)[0]
+        avg0 = partial(weighted_average, self.measure, w=TorusWeight(0.0))
+        s_mean, tau_mean = avg0(s), avg0(t)
+        return s_mean, tau_mean, avg0((s - s_mean) * (t - tau_mean)), avg0((t - tau_mean) ** 2)
+
     def with_profile(self, profile) -> "FunctionalContext":
         return FunctionalContext(self.spec, profile, self.shift)
 
@@ -75,14 +99,7 @@ class VolReport:
     lambda_xi: float | None
 
     def to_dict(self):
-        return {
-            "log_vol": self.log_vol,
-            "sbar": self.sbar,
-            "theta_bar": self.theta_bar,
-            "futaki_self": self.futaki_self,
-            "nu_self": self.nu_self,
-            "lambda_xi": self.lambda_xi,
-        }
+        return asdict(self)
 
 
 # -- pointwise ingredients -------------------------------------------------
@@ -103,10 +120,7 @@ def theta_bar(ctx: FunctionalContext, w: TorusWeight) -> float:
 
 def sbar(ctx: FunctionalContext, w: TorusWeight, lam: float) -> float:
     """Weighted average of (s + box theta - lam theta); a class constant."""
-    spec, prof = ctx.spec, ctx.reference_profile
-    base = weighted_average(
-        ctx.measure, lambda t: mu_curvatures(spec, w.chi, lam, t, psi_jet(spec, prof, t))[1], w)
-    return base - lam * theta_bar(ctx, w)
+    return weighted_average(ctx.measure, ctx.curvatures(w.chi, lam)[1], w) - lam * theta_bar(ctx, w)
 
 
 def log_mass_shifted(ctx: FunctionalContext, w: TorusWeight) -> float:
@@ -127,25 +141,18 @@ def mu_vol(ctx: FunctionalContext, w: TorusWeight, lam: float) -> float:
 
 
 def _shat(ctx: FunctionalContext, w: TorusWeight, lam: float):
-    """Centered weighted curvature as a function of tau (weighted mean zero).
+    """Centered weighted curvature on the nodes (weighted mean zero).
 
     The shift cancels identically between s^lam and its average, so the
-    centered function can be built from the raw (-chi tau) convention.
+    centered values can be built from the raw (-chi tau) convention.
     """
-    raw_bar = sbar(ctx, w, lam) + lam * ctx.shift
-
-    def centered(t):
-        return mu_scalar_curvature(ctx.spec, ctx.reference_profile, w, lam, t) - raw_bar
-
-    return centered
+    return ctx.curvatures(w.chi, lam)[0] - (sbar(ctx, w, lam) + lam * ctx.shift)
 
 
 def futaki(ctx: FunctionalContext, w_base: TorusWeight, w_dir: TorusWeight, lam: float) -> float:
     """Obstruction functional: weighted average of shat * theta_dir."""
-    shat = _shat(ctx, w_base, lam)
-    return weighted_average(
-        ctx.measure, lambda t: shat(t) * (-w_dir.chi * t), w_base
-    )
+    theta_dir = -w_dir.chi * ctx.measure.rule[0]
+    return weighted_average(ctx.measure, _shat(ctx, w_base, lam) * theta_dir, w_base)
 
 
 def nu(ctx: FunctionalContext, w_base: TorusWeight, w_dir: TorusWeight) -> float:
@@ -167,15 +174,12 @@ def d2_mu_vol(ctx: FunctionalContext, w: TorusWeight, lam: float, w_dir: TorusWe
 
     with |dir|^2_g = chi_dir^2 phi in momentum coordinates.
     """
-    shat = _shat(ctx, w, lam)
     chi_d = w_dir.chi
-    prof = ctx.reference_profile
-    th = lambda t: -chi_d * t  # noqa: E731
-    term_shat = weighted_average(ctx.measure, lambda t: shat(t) * th(t) ** 2, w)
-    term_vec = 2.0 * chi_d ** 2 * weighted_average(ctx.measure, lambda t: prof.value(t), w)
+    th = -chi_d * ctx.measure.rule[0]
+    term_shat = weighted_average(ctx.measure, _shat(ctx, w, lam) * th ** 2, w)
+    term_vec = 2.0 * chi_d ** 2 * weighted_average(ctx.measure, ctx.phi, w)
     term_nu = lam * nu(ctx, w, w_dir)
-    fut = futaki(ctx, w, w_dir, lam)
-    term_cross = 2.0 * fut * weighted_average(ctx.measure, lambda t: th(t), w)
+    term_cross = 2.0 * futaki(ctx, w, w_dir, lam) * weighted_average(ctx.measure, th, w)
     return term_shat + term_vec - term_nu - term_cross
 
 
@@ -186,73 +190,36 @@ def lambda_xi(ctx: FunctionalContext, w: TorusWeight) -> float:
     return futaki(ctx, w, w, 0.0) / nu(ctx, w, w)
 
 
-# -- unweighted (chi = 0) statistics --------------------------------------------
-
-
-def _avg0(ctx: FunctionalContext, f) -> float:
-    return weighted_average(ctx.measure, f, TorusWeight(0.0))
-
-
-def _unweighted_stats(ctx: FunctionalContext):
-    s = lambda t: scalar_curvature(ctx, t)  # noqa: E731
-    s_mean = _avg0(ctx, s)
-    tau_mean = _avg0(ctx, lambda t: t)
-    cov = _avg0(ctx, lambda t: (s(t) - s_mean) * (t - tau_mean))
-    var = _avg0(ctx, lambda t: (t - tau_mean) ** 2)
-    return s_mean, tau_mean, cov, var
+# -- unweighted (chi = 0) statistics: closed forms in FunctionalContext.stats0 --------
 
 
 def classical_futaki(ctx: FunctionalContext, w_dir: TorusWeight) -> float:
-    """int (s - s_mean) theta_dir d mu_0 / mass; vanishes on the line."""
-    s_mean, _, _, _ = _unweighted_stats(ctx)
-    return _avg0(ctx, lambda t: (scalar_curvature(ctx, t) - s_mean) * (-w_dir.chi * t))
+    """int (s - s_mean) theta_dir d mu_0 / mass = -chi_dir cov(s, tau); vanishes on the line."""
+    return -w_dir.chi * ctx.stats0[2]
 
 
 def C_functional(ctx: FunctionalContext, w: TorusWeight) -> float:
     """Strictly convex functional whose unique minimizer is the extremal weight.
 
-    Normalized so that the kappa -> 0 limit of the rescaled volume profile
-    W-check equals exactly -2 C.
+    C = chi cov / 2 + chi^2 var / 4 (see the module docstring), normalized so
+    that the kappa -> 0 limit of the rescaled volume profile W-check equals
+    exactly -2 C.
     """
-    s = lambda t: scalar_curvature(ctx, t)  # noqa: E731
-    s_mean = _avg0(ctx, s)
-    tau_mean = _avg0(ctx, lambda t: t)
-    sq = _avg0(ctx, lambda t: ((s(t) - s_mean) + w.chi * (t - tau_mean)) ** 2)
-    sq0 = _avg0(ctx, lambda t: (s(t) - s_mean) ** 2)
-    return 0.25 * (sq - sq0)
+    _, _, cov, var = ctx.stats0
+    return 0.5 * w.chi * cov + 0.25 * w.chi ** 2 * var
 
 
-def extremal_chi(ctx: FunctionalContext, newton_tol: float = 1e-13, max_iter: int = 100) -> float:
-    """Unique minimizer of C, by guarded Newton with bisection fallback."""
-    _, _, cov, var = _unweighted_stats(ctx)
-
-    def dC(chi):
-        return 0.5 * (cov + chi * var)
-
-    def d2C(chi):
-        return 0.5 * var
-
-    chi = 0.0
-    for _ in range(max_iter):
-        g, h = dC(chi), d2C(chi)
-        if h <= 0.0:
-            break
-        step = -g / h
-        chi_new = chi + step
-        if abs(step) <= newton_tol * max(1.0, abs(chi_new)):
-            return chi_new
-        chi = chi_new
-    # bisection fallback on dC
-    lo, hi = -1e3, 1e3
-    return brentq(dC, lo, hi, xtol=1e-13)
+def extremal_chi(ctx: FunctionalContext) -> float:
+    """Unique minimizer of C: the extremal weight -cov(s, tau) / var(tau)."""
+    _, _, cov, var = ctx.stats0
+    return -cov / var
 
 
 def weight_norm(ctx: FunctionalContext, w: TorusWeight) -> float:
     """|xi| with |xi|^2 = int theta-hat^2 d(unweighted measure), theta-hat
     centered to zero unweighted mean."""
-    _, _, _, var = _unweighted_stats(ctx)
-    mass0 = integrate_weighted(ctx.measure, lambda t: np.ones_like(t), TorusWeight(0.0))
-    return abs(w.chi) * math.sqrt(var * mass0)
+    mass0 = integrate_weighted(ctx.measure, 1.0, TorusWeight(0.0))
+    return abs(w.chi) * math.sqrt(ctx.stats0[3] * mass0)
 
 
 def lambda_hat(ctx: FunctionalContext, ray_sign: int, r: float) -> float:
@@ -260,13 +227,11 @@ def lambda_hat(ctx: FunctionalContext, ray_sign: int, r: float) -> float:
     if r < 0:
         raise ValueError("r must be nonnegative")
     sign = 1.0 if ray_sign >= 0 else -1.0
-    _, _, _, var = _unweighted_stats(ctx)
     chi_unit = sign / weight_norm(ctx, TorusWeight(1.0))  # |xi(chi_unit)| = 1
     if r == 0.0:
-        # lim |xi| lambda_xi = classical Futaki of the unit direction over
-        # the unweighted variance of its potential
-        fut = classical_futaki(ctx, TorusWeight(chi_unit))
-        return fut / (chi_unit ** 2 * var)
+        # lim |xi| lambda_xi = classical Futaki of the unit direction over the
+        # unweighted variance of its potential, -cov / (chi_unit var)
+        return extremal_chi(ctx) / chi_unit
     w = TorusWeight(r * chi_unit)
     return weight_norm(ctx, w) * lambda_xi(ctx, w)
 
@@ -292,13 +257,12 @@ def _dmuvol_on_grid(ctx: FunctionalContext, lam: float, chis):
     the profile is evaluated once for the whole grid and each chi only
     contributes its exponential weight.  Deterministic, on the dh rule.
     """
-    spec, meas = ctx.spec, ctx.measure
-    t, wts = _panel_nodes(meas)
-    pw = meas.density(t) * wts
-    jet = psi_jet(spec, ctx.reference_profile, t)
-    _, A = mu_curvatures(spec, 0.0, lam, t, jet)
-    s_plus, box_plus = mu_curvatures(spec, 1.0, lam, t, jet)
-    s_minus, _ = mu_curvatures(spec, -1.0, lam, t, jet)
+    meas = ctx.measure
+    t, wts, dens = meas.rule
+    pw = dens * wts
+    _, A = ctx.curvatures(0.0, lam)
+    s_plus, box_plus = ctx.curvatures(1.0, lam)
+    s_minus, _ = ctx.curvatures(-1.0, lam)
     B = 0.5 * (s_plus - s_minus)
     C = 0.5 * (s_plus + s_minus) - A
     B0 = box_plus - A
@@ -372,7 +336,7 @@ def W_check(ctx: FunctionalContext, eta: TorusWeight, kappa: float) -> float:
     """
     if kappa == 0.0:
         return -2.0 * C_functional(ctx, eta)
-    s_mean, _, _, _ = _unweighted_stats(ctx)
+    s_mean = ctx.stats0[0]
     w = eta.scaled(kappa)
     s0 = sbar(ctx, w, 0.0)
     tb = theta_bar(ctx, w)
@@ -388,12 +352,10 @@ def lambda_inf(ctx: FunctionalContext) -> float:
     obstruction to vanish (true on the line), in which case the value is
     normalization-independent.
     """
-    s = lambda t: scalar_curvature(ctx, t)  # noqa: E731
-    s_mean, tau_mean, _, var = _unweighted_stats(ctx)
-    num = _avg0(ctx, lambda t: (s(t) - s_mean) * t ** 2) + 2.0 * _avg0(
-        ctx, lambda t: ctx.reference_profile.value(t)
-    )
-    return num / var
+    s_mean, _, _, var = ctx.stats0
+    t, s = ctx.measure.rule[0], ctx.curvatures(0.0, 0.0)[0]
+    avg0 = partial(weighted_average, ctx.measure, w=TorusWeight(0.0))
+    return (avg0((s - s_mean) * t ** 2) + 2.0 * avg0(ctx.phi)) / var
 
 
 def vol_report(ctx: FunctionalContext, w: TorusWeight, lam: float) -> VolReport:

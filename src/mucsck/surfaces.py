@@ -47,11 +47,13 @@ class SurfaceSpec:
             raise ValueError(f"unknown surface kind {self.kind!r}")
         if not (self.m > 0 and math.isfinite(self.m)):
             raise ValueError(f"class parameter m must be positive, got {self.m}")
+        if self.kind == CP1 and (self.k != 0 or self.genus != 0):
+            raise ValueError(f"the line has no degree or genus, got k={self.k}, genus={self.genus}")
         if self.kind == RULED:
             if not (isinstance(self.k, int) and self.k >= 1):
                 raise ValueError(f"ruled surface needs integer degree k >= 1, got {self.k}")
-            if self.genus < 0:
-                raise ValueError(f"genus must be nonnegative, got {self.genus}")
+            if not (isinstance(self.genus, int) and self.genus >= 0):
+                raise ValueError(f"genus must be a nonnegative integer, got {self.genus}")
 
     @classmethod
     def cp1(cls, m: float = 1.0) -> "SurfaceSpec":

@@ -3,10 +3,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mucsck.cli as cli
 from mucsck.cli import main
+from mucsck.errors import ConfigError
 from mucsck.io import fmt17
+from mucsck.surfaces import SurfaceSpec
 
 
 def run(tmp_path, command, cfg, fmt="csv", name="out"):
@@ -241,3 +245,43 @@ def test_numerical_value_error_exits_3(tmp_path, capsys, monkeypatch, exc):
     code, _ = run(tmp_path, "solve", {"surface": CP1, "lambda": 5.0, "bracket": [0.1, 5.0]})
     assert code == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("futaki", {"surface": {"kind": "Ruled", "k": 1.5}, "lambda": 1.0}),
+    ("futaki", {"surface": {"kind": "Ruled", "genus": 1.9}, "lambda": 1.0}),
+    ("futaki", {"surface": {"kind": "Ruled", "k": "2"}, "lambda": 1.0}),
+    ("futaki", {"surface": {"kind": "Ruled", "k": True}, "lambda": 1.0}),
+    ("futaki", {"surface": {"kind": "CP1", "m": "2"}, "lambda": 1.0}),
+    ("futaki", {"surface": {"kind": "CP1", "m": 1.0, "k": 2}, "lambda": 1.0}),
+    ("futaki", {"surface": {"kind": "CP1", "m": 1.0, "genus": 0}, "lambda": 1.0}),
+    ("futaki", {"surface": CP1, "lambda": "5"}),
+    ("futaki", {"surface": CP1, "lambda": True}),
+    ("solve", {"surface": CP1, "lambda": "5", "bracket": [0.1, 5.0]}),
+    ("solve", {"surface": CP1, "lambda": True, "bracket": [0.1, 5.0]}),
+    ("solve", {"surface": CP1, "lambda": 5.0, "bracket": [0.1, 5.0], "profile_points": 2.7}),
+])
+def test_config_type_contract_exits_2(tmp_path, capsys, command, cfg):
+    # numbers must be JSON numbers, integers must be integral, CP1 has no k or genus
+    code, _ = run(tmp_path, command, cfg)
+    assert code == 2
+    assert "config error" in capsys.readouterr().err
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(["CP1", "Ruled"]) | _JSON_VALUES,
+       params=st.dictionaries(st.sampled_from(["m", "k", "genus", "extra"]), _JSON_VALUES))
+def test_surface_block_parses_or_raises_config_error(kind, params):
+    try:
+        spec = cli.parse_surface(dict(params, kind=kind))
+    except ConfigError:
+        return
+    assert isinstance(spec, SurfaceSpec)

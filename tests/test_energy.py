@@ -11,6 +11,7 @@ from mucsck.energy import (
     geodesic_equation_residual,
     muk_energy_chen_tian,
     muk_energy_endpoint_derivative,
+    muk_energy_partial,
     muk_energy_path,
     potential_from_profile,
     profile_from_potential,
@@ -268,3 +269,16 @@ def test_chen_tian_rejects_degenerate_endpoint():
     u_bad = U_FS.plus_smooth(spoil)
     with pytest.raises(PathDegeneracyError):
         muk_energy_chen_tian(SPEC, TorusWeight(0.0), 0.0, U_FS, u_bad)
+
+
+@pytest.mark.parametrize("route", ["path", "partial", "convexity"])
+def test_energy_routes_reject_ruled_surface(route):
+    # every route reports the unsupported surface, not a lost convexity
+    ruled, path, w = SurfaceSpec.p2_blowup(), GeodesicPath(U_FS, U_SOLVED), TorusWeight(0.3)
+    calls = {
+        "path": lambda: muk_energy_path(ruled, w, 1.0, path),
+        "partial": lambda: muk_energy_partial(ruled, w, 1.0, path, 0.5),
+        "convexity": lambda: geodesic_convexity(ruled, w, 1.0, path, [0.0, 0.5, 1.0]),
+    }
+    with pytest.raises(ValueError, match="implemented on the line"):
+        calls[route]()

@@ -369,6 +369,38 @@ def test_lambda_nonpositive_set_is_compact_in_window():
             assert abs(root) < 30.0
 
 
+class CountingProfile:
+    """A profile that counts its value/deriv/deriv2 calls."""
+
+    def __init__(self, inner):
+        self.inner, self.calls = inner, {"value": 0, "deriv": 0, "deriv2": 0}
+
+    def _count(self, name, t):
+        self.calls[name] += 1
+        return getattr(self.inner, name)(t)
+
+    def value(self, t):
+        return self._count("value", t)
+
+    def deriv(self, t):
+        return self._count("deriv", t)
+
+    def deriv2(self, t):
+        return self._count("deriv2", t)
+
+
+def test_context_evaluates_reference_profile_once():
+    # the context evaluates its profile on the nodes once; every functional,
+    # the chi-grid scan and the brentq refinement reuse those values
+    spec = SurfaceSpec.cp1(1.0)
+    prof = CountingProfile(spec.reference_profile())
+    ctx = FunctionalContext(spec, prof)
+    roots = find_critical(ctx, 5.0)
+    assert len(roots) == 3
+    vol_report(ctx, TorusWeight(roots[-1]), 5.0)
+    assert all(n <= 1 for n in prof.calls.values()), prof.calls
+
+
 def test_lambda_inf_anticanonical_value():
     assert lambda_inf(CP1_M2) == pytest.approx(2.0, rel=1e-9)
     assert lambda_inf(CP1) == pytest.approx(4.0, rel=1e-9)
@@ -376,13 +408,13 @@ def test_lambda_inf_anticanonical_value():
 
 def test_W_check_matches_logvol_composition():
     # kappa^{-1} [log Vol^{1/kappa}(kappa eta) - (1/kappa) log mass0 - s_mean]
-    from mucsck.dh import integrate_weighted
-    from mucsck.functionals import scalar_curvature, _avg0
+    from mucsck.dh import integrate_weighted, weighted_average
+    from mucsck.functionals import scalar_curvature
     import numpy as np
 
     eta = TorusWeight(0.8)
     for ctx in (CP1, RULED):
-        s_mean = _avg0(ctx, lambda t: scalar_curvature(ctx, t))
+        s_mean = weighted_average(ctx.measure, lambda t: scalar_curvature(ctx, t), TorusWeight(0.0))
         mass0 = integrate_weighted(ctx.measure, lambda t: np.ones_like(t), TorusWeight(0.0))
         for kappa in (0.5, -0.3, 0.04):
             lam = 1.0 / kappa

@@ -1,0 +1,133 @@
+"""Bit-for-bit regression of the functionals against `tests/golden/functionals.json`.
+
+The CLI golden files cover only what the subcommands print.  This file pins
+the functionals themselves on CP1(1), P(O(1)+O) and Ruled(2, 1, 1.5), each
+with its reference profile, with a moment-map shift and with a perturbed
+profile: log_vol, sbar, mu_vol, nu, futaki, d2_mu_vol, lambda_xi,
+lambda_inf, W_check at kappa != 0, properness slopes and find_critical
+roots, stored as hex floats and compared exactly.
+
+The "closed_form" section holds C_functional, extremal_chi,
+classical_futaki, lambda_hat(., ., 0) and W_check(., ., 0), which are closed
+forms in the unweighted statistics; it is compared to 1e-14 absolute.
+
+The golden file was written by the code before the functionals moved onto
+one cached node table per context.  To rewrite it after an intended output
+change (which must be recorded with its size in CHANGES.md), run
+
+    PYTHONPATH=src python tests/test_functionals_golden.py
+"""
+
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from mucsck.dh import TorusWeight
+from mucsck.functionals import (
+    C_functional,
+    FunctionalContext,
+    W_check,
+    classical_futaki,
+    d2_mu_vol,
+    extremal_chi,
+    find_critical,
+    futaki,
+    lambda_hat,
+    lambda_inf,
+    lambda_xi,
+    log_vol,
+    mu_vol,
+    nu,
+    properness_slope,
+    sbar,
+)
+from mucsck.surfaces import SurfaceSpec
+
+GOLDEN = Path(__file__).parent / "golden" / "functionals.json"
+
+SURFACES = {
+    "cp1": SurfaceSpec.cp1(1.0),
+    "p2_blowup": SurfaceSpec.p2_blowup(),
+    "ruled_2_1_1.5": SurfaceSpec.ruled(2, 1, 1.5),
+}
+CHIS = (-1.3, 0.0, 0.7)
+LAMBDAS = (0.0, 2.5)
+DIR = TorusWeight(0.8)
+
+
+def contexts():
+    for name, spec in SURFACES.items():
+        ctx = FunctionalContext(spec)
+        yield f"{name}/plain", ctx
+        yield f"{name}/shifted", ctx.with_shift(0.25)
+        yield f"{name}/perturbed", ctx.with_profile(spec.perturbed_profile(0.05))
+
+
+def exact_values(ctx):
+    out = {"lambda_inf": lambda_inf(ctx)}
+    for chi in CHIS:
+        w = TorusWeight(chi)
+        out[f"nu/{chi}"] = nu(ctx, w, DIR)
+        if chi != 0.0:
+            out[f"lambda_xi/{chi}"] = lambda_xi(ctx, w)
+        for lam in LAMBDAS:
+            key = f"{chi}/{lam}"
+            out[f"log_vol/{key}"] = log_vol(ctx, w, lam)
+            out[f"sbar/{key}"] = sbar(ctx, w, lam)
+            out[f"mu_vol/{key}"] = mu_vol(ctx, w, lam)
+            out[f"futaki/{key}"] = futaki(ctx, w, DIR, lam)
+            out[f"d2_mu_vol/{key}"] = d2_mu_vol(ctx, w, lam, DIR)
+    for kappa in (0.5, -1.2):
+        out[f"W_check/{kappa}"] = W_check(ctx, TorusWeight(0.9), kappa)
+    for sign in (1.0, -1.0):
+        slopes = properness_slope(ctx, TorusWeight(sign), 2.5, [1.0, 10.0, 100.0, 200.0])
+        for t, s in zip((1, 10, 100, 200), slopes):
+            out[f"properness/{sign}/{t}"] = s
+    for lam in (2.5, 5.0):
+        for i, root in enumerate(find_critical(ctx, lam)):
+            out[f"find_critical/{lam}/{i}"] = root
+    return out
+
+
+def closed_form_values(ctx):
+    out = {"extremal_chi": extremal_chi(ctx)}
+    for chi in CHIS:
+        out[f"C_functional/{chi}"] = C_functional(ctx, TorusWeight(chi))
+        out[f"classical_futaki/{chi}"] = classical_futaki(ctx, TorusWeight(chi))
+    for sign in (1, -1):
+        out[f"lambda_hat/{sign}/0"] = lambda_hat(ctx, sign, 0.0)
+    out["W_check/0"] = W_check(ctx, TorusWeight(0.9), 0.0)
+    return out
+
+
+def compute():
+    return {
+        section: {name: {k: v.hex() for k, v in fn(ctx).items()} for name, ctx in contexts()}
+        for section, fn in (("exact", exact_values), ("closed_form", closed_form_values))
+    }
+
+
+@pytest.fixture(scope="module")
+def golden_and_now():
+    return json.loads(GOLDEN.read_text()), compute()
+
+
+def test_exact_functionals_match_golden_bits(golden_and_now):
+    golden, now = golden_and_now
+    assert now["exact"] == golden["exact"]
+
+
+def test_closed_forms_match_golden_to_rounding(golden_and_now):
+    golden, now = golden_and_now
+    for name, values in golden["closed_form"].items():
+        assert set(now["closed_form"][name]) == set(values)
+        for key, hexval in values.items():
+            got = float.fromhex(now["closed_form"][name][key])
+            assert got == pytest.approx(float.fromhex(hexval), rel=0, abs=1e-14), (name, key)
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text(json.dumps(compute(), indent=1, sort_keys=True) + "\n")
+    print(f"wrote {GOLDEN}", file=sys.stderr)

@@ -109,6 +109,14 @@ def test_domain_error_at_endpoint():
         mu_scalar_curvature(CP1, CP1.reference_profile(), TorusWeight(0.1), 0.0, 2.0)
 
 
+@pytest.mark.parametrize("k, genus", [(2, 0), (0, 1), (1, 1)])
+def test_cp1_rejects_degree_and_genus(k, genus):
+    # the line has no degree or base genus; a CP1 spec carrying them used to
+    # solve with a mismatched boundary system (residual 3.0 at lambda 4, chi 1.3)
+    with pytest.raises(ValueError, match="no degree or genus"):
+        SurfaceSpec("CP1", 1.0, k=k, genus=genus)
+
+
 # -- solution basis -------------------------------------------------------------
 
 
