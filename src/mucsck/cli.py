@@ -21,7 +21,7 @@ from .errors import ConfigError, MucsckError
 from .functionals import FunctionalContext, d_mu_vol, find_critical, mu_vol, vol_report
 from .io import profile_rows, write_csv, write_json
 from .path import phase_diagram, trace
-from .solver import solve_chi
+from .solver import SCAN_POINTS, solve_chi
 from .surfaces import CP1, RULED, SurfaceSpec
 
 COMMANDS = ("muvol", "solve", "path", "energy", "phase", "futaki")
@@ -142,8 +142,9 @@ def cmd_solve(cfg, spec, path, fmt, quiet):
     if (not isinstance(bracket, (list, tuple))) or len(bracket) != 2:
         raise ConfigError("solve requires bracket: [lo, hi]")
     n = _integer(cfg.get("profile_points", 257), "profile_points")
-    if n <= 0:
-        raise ConfigError("profile_points must be positive")
+    if not 0 < n <= SCAN_POINTS:
+        # an extended-precision profile costs about 0.24 ms per row
+        raise ConfigError(f"profile_points must be in [1, {SCAN_POINTS}], got {n}")
     res = solve_chi(spec, lam, tuple(_finite(v, "bracket") for v in bracket))
     if fmt == "json":
         payload = res.to_dict()
@@ -303,9 +304,10 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (MucsckError, ValueError) as exc:
+    except (MucsckError, ValueError, ArithmeticError) as exc:
         # every config value is checked where it is parsed, so a ValueError
-        # here (numpy's LinAlgError among them) comes from the numerics
+        # (numpy's LinAlgError among them) or an overflow or division by zero
+        # on finite extreme input comes from the numerics
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

@@ -123,8 +123,8 @@ def _panel_nodes(measure: DHMeasure, panels: int = PANELS):
     return nodes.ravel(), weights.ravel()
 
 
-def _integrate_shifted(measure: DHMeasure, f, chi: float, shift: float) -> float:
-    """scale * int f p e^{-chi tau - shift} dtau; f is a callable or its values on the nodes."""
+def _integrate_shifted(measure: DHMeasure, f, e) -> float:
+    """scale * int f p e dtau, e the weight on the nodes; f is a callable or its values there."""
     nodes, weights, dens = measure.rule
     fv = np.asarray(f(nodes) if callable(f) else f, dtype=float)
     if fv.shape != nodes.shape:
@@ -132,13 +132,15 @@ def _integrate_shifted(measure: DHMeasure, f, chi: float, shift: float) -> float
     if not np.all(np.isfinite(fv)):
         bad = nodes[~np.isfinite(fv)][0]
         raise EvaluationError(f"integrand is not finite at tau={bad}", node=bad)
-    vals = fv * dens * np.exp(-chi * nodes - shift)
+    vals = fv * dens * e
     return measure.scale * float(np.sum(vals * weights))
 
 
-def _exponent_shift(measure: DHMeasure, chi: float) -> float:
-    """max of -chi*tau over the interval; subtracting it keeps exponents <= 0."""
-    return max(-chi * measure.tau_min, -chi * measure.tau_max)
+def _shifted_weight(measure: DHMeasure, chi: float):
+    """(e^{-chi tau - shift} on the nodes, shift), shift the max of -chi*tau
+    over the interval; subtracting it keeps exponents <= 0."""
+    shift = max(-chi * measure.tau_min, -chi * measure.tau_max)
+    return np.exp(-chi * measure.rule[0] - shift), shift
 
 
 def integrate_weighted(measure: DHMeasure, f, w: TorusWeight) -> float:
@@ -147,22 +149,19 @@ def integrate_weighted(measure: DHMeasure, f, w: TorusWeight) -> float:
     Deterministic; raises EvaluationError naming the node if f is non-finite
     there.
     """
-    return _integrate_shifted(measure, f, w.chi, 0.0)
+    return _integrate_shifted(measure, f, np.exp(-w.chi * measure.rule[0]))
 
 
 def log_mass(measure: DHMeasure, w: TorusWeight) -> float:
     """log of integrate_weighted(measure, 1, w), stable for any chi."""
-    shift = _exponent_shift(measure, w.chi)
-    val = _integrate_shifted(measure, 1.0, w.chi, shift)
-    return math.log(val) + shift
+    e, shift = _shifted_weight(measure, w.chi)
+    return math.log(_integrate_shifted(measure, 1.0, e)) + shift
 
 
 def weighted_average(measure: DHMeasure, f, w: TorusWeight) -> float:
     """int f p e^{-chi tau} / int p e^{-chi tau}; overflow-safe in chi."""
-    shift = _exponent_shift(measure, w.chi)
-    num = _integrate_shifted(measure, f, w.chi, shift)
-    den = _integrate_shifted(measure, 1.0, w.chi, shift)
-    return num / den
+    e = _shifted_weight(measure, w.chi)[0]
+    return _integrate_shifted(measure, f, e) / _integrate_shifted(measure, 1.0, e)
 
 
 def moment(measure: DHMeasure, w: TorusWeight, order: int) -> float:

@@ -10,7 +10,8 @@ choice is a tested property, not an assumption.
 A FunctionalContext holds one node table: the reference profile's psi-jet
 and phi on the nodes of the measure's rule, evaluated once, and the
 unweighted statistics s_mean, tau_mean, cov(s, tau) and var(tau).  Every
-functional is a weighted average of arrays on those nodes.  The extremal-
+functional is a weighted average of arrays on those nodes, and the critical
+points at every lam are read off one cached curve F0 + lam F1.  The extremal-
 weight functional C(chi) = 1/4 avg0[(s - s_mean + chi (tau - tau_mean))^2 -
 (s - s_mean)^2] = chi cov / 2 + chi^2 var / 4 is quadratic in chi, so C, its
 minimizer -cov / var and the classical Futaki invariant -chi cov are closed
@@ -39,9 +40,13 @@ from .errors import MucsckError
 from .solver import mu_curvatures, mu_scalar_curvature, psi_jet
 from .surfaces import SurfaceSpec
 
-CRITICAL_SCAN_ABS = (1e-3, 30.0)
-CRITICAL_PER_DECADE = 40
 PROPERNESS_T_MAX = 200.0
+
+# critical points are sought on |chi| in [1e-3, 30], 40 per decade, both
+# signs, plus the origin; properness keeps every root of the surfaces in
+# scope inside this window
+_SCAN_MAGS = np.logspace(-3.0, math.log10(30.0), 180)
+SCAN_GRID = np.concatenate([-_SCAN_MAGS[::-1], [0.0], _SCAN_MAGS])
 
 
 @dataclass(frozen=True)
@@ -81,6 +86,40 @@ class FunctionalContext:
         avg0 = partial(weighted_average, self.measure, w=TorusWeight(0.0))
         s_mean, tau_mean = avg0(s), avg0(t)
         return s_mean, tau_mean, avg0((s - s_mean) * (t - tau_mean)), avg0((t - tau_mean) ** 2)
+
+    @cached_property
+    def obstruction_curve(self):
+        """(F0, F1) on SCAN_GRID: F0 + lam F1 is d_mu_vol in the unit direction.
+
+        The weighted curvature is quadratic in chi with tau-dependent
+        coefficients, s^0 = A + chi B + chi^2 C, and its Bakry-Emery part is
+        A + chi B0; all are read off the curvature at chi = 0 and chi = +-1,
+        so each chi only contributes its exponential weight.  s^lam adds
+        lam chi tau, so the obstruction is affine in lam with slope
+        F1 = -chi var_chi(tau).
+        """
+        chis = SCAN_GRID
+        meas = self.measure
+        t, wts, dens = meas.rule
+        _, A = self.curvatures(0.0, 0.0)
+        s_plus, box_plus = self.curvatures(1.0, 0.0)
+        s_minus, _ = self.curvatures(-1.0, 0.0)
+        B = 0.5 * (s_plus - s_minus)
+        C = 0.5 * (s_plus + s_minus) - A
+        B0 = box_plus - A
+        shift = np.maximum(-chis * meas.tau_min, -chis * meas.tau_max)
+        wmat = np.exp(-chis[:, None] * t[None, :] - shift[:, None]) * (dens * wts)[None, :]
+        mass = wmat.sum(axis=1)
+
+        def avg(f_vals):
+            return (wmat @ f_vals) / mass
+
+        # -(avg(s^0 tau) - sbar^0 avg(tau)), the Futaki invariant at lam = 0
+        avg_t = avg(t)
+        s_tau = avg(A * t) + chis * avg(B * t) + chis ** 2 * avg(C * t)
+        f0 = -(s_tau - (avg(A) + chis * avg(B0)) * avg_t)
+        var = np.einsum("ij,ij->i", wmat, (t[None, :] - avg_t[:, None]) ** 2) / mass
+        return f0, -chis * var
 
     def with_profile(self, profile) -> "FunctionalContext":
         return FunctionalContext(self.spec, profile, self.shift)
@@ -239,74 +278,35 @@ def lambda_hat(ctx: FunctionalContext, ray_sign: int, r: float) -> float:
 # -- critical points ---------------------------------------------------------------
 
 
-def _scan_grid(chi_range):
-    lo_abs, hi_abs = CRITICAL_SCAN_ABS
-    hi_abs = min(hi_abs, max(abs(chi_range[0]), abs(chi_range[1])))
-    n = max(2, int(round(CRITICAL_PER_DECADE * math.log10(hi_abs / lo_abs))) + 1)
-    mags = np.logspace(math.log10(lo_abs), math.log10(hi_abs), n)
-    grid = np.concatenate([-mags[::-1], [0.0], mags])
-    return grid[(grid >= chi_range[0]) & (grid <= chi_range[1])]
+def critical_brackets(ctx: FunctionalContext, lam: float):
+    """Where SCAN_GRID meets the critical points of log Vol^lam.
 
-
-def _dmuvol_on_grid(ctx: FunctionalContext, lam: float, chis):
-    """Vectorized d_mu_vol over a chi grid with unit direction.
-
-    The weighted curvature is quadratic in chi with tau-dependent
-    coefficients, s^lam = A + chi B + chi^2 C, and its Bakry-Emery part is
-    A + chi B0; all are read off the curvature at chi = 0 and chi = +-1, so
-    the profile is evaluated once for the whole grid and each chi only
-    contributes its exponential weight.  Deterministic, on the dh rule.
+    Returns the indices at which F0 + lam F1 vanishes (to 1e-11 of its
+    largest value) and the left ends i of the intervals [i, i + 1] on which
+    it changes sign between two nonzero values.
     """
-    meas = ctx.measure
-    t, wts, dens = meas.rule
-    pw = dens * wts
-    _, A = ctx.curvatures(0.0, lam)
-    s_plus, box_plus = ctx.curvatures(1.0, lam)
-    s_minus, _ = ctx.curvatures(-1.0, lam)
-    B = 0.5 * (s_plus - s_minus)
-    C = 0.5 * (s_plus + s_minus) - A
-    B0 = box_plus - A
-    chis = np.asarray(chis, dtype=float)
-    shift = np.maximum(-chis * meas.tau_min, -chis * meas.tau_max)
-    wmat = np.exp(-chis[:, None] * t[None, :] - shift[:, None]) * pw[None, :]
-    mass = wmat.sum(axis=1)
-
-    def avg(f_vals):
-        return (wmat @ f_vals) / mass
-
-    # Futaki in the unit direction: -(avg(s^lam tau) - sbar^lam avg(tau)).
-    avg_t = avg(t)
-    sbar_lam = avg(A) + chis * avg(B0) + lam * chis * avg_t
-    s_tau = avg(A * t) + chis * avg(B * t) + chis ** 2 * avg(C * t)
-    return -(s_tau - sbar_lam * avg_t)
+    f0, f1 = ctx.obstruction_curve
+    vals = f0 + lam * f1
+    zero = np.abs(vals) <= 1e-11 * max(1.0, float(np.max(np.abs(vals))))
+    change = (np.sign(vals[:-1]) * np.sign(vals[1:]) < 0) & ~zero[:-1] & ~zero[1:]
+    return np.flatnonzero(zero), np.flatnonzero(change)
 
 
-def find_critical(ctx: FunctionalContext, lam: float, chi_range=(-30.0, 30.0)):
-    """All roots of the log-volume chi-derivative in the window.
+def find_critical(ctx: FunctionalContext, lam: float):
+    """All roots of the log-volume chi-derivative in SCAN_GRID's window.
 
-    Log-spaced scan (both signs, 40 per decade) plus the origin; properness
-    keeps every root inside a window of this size for the surfaces in scope.
+    The grid's zeros of the cached obstruction curve are roots; each of its
+    sign changes is refined by brentq on the scalar d_mu_vol.
     """
-    grid = _scan_grid(chi_range)
     unit = TorusWeight(1.0)
     f = lambda chi: d_mu_vol(ctx, TorusWeight(chi), lam, unit)  # noqa: E731
-    vals = _dmuvol_on_grid(ctx, lam, grid)
-    roots = []
-    zero_floor = 1e-11 * max(1.0, float(np.max(np.abs(vals))))
-    for i, v in enumerate(vals):
-        if abs(v) <= zero_floor:
-            roots.append(float(grid[i]))
-    for i in range(len(grid) - 1):
-        a, b = vals[i], vals[i + 1]
-        if abs(a) <= zero_floor or abs(b) <= zero_floor:
-            continue
-        if np.sign(a) * np.sign(b) < 0:
-            roots.append(float(brentq(f, grid[i], grid[i + 1], xtol=1e-12)))
+    zeros, changes = critical_brackets(ctx, lam)
+    roots = [float(SCAN_GRID[i]) for i in zeros]
+    roots += [float(brentq(f, SCAN_GRID[i], SCAN_GRID[i + 1], xtol=1e-12)) for i in changes]
     if not roots:
-        # properness guarantees a minimizer; locate it by golden-section on
-        # the coarse grid around the argmin of log Vol
-        lv = [log_vol(ctx, TorusWeight(c), lam) for c in grid]
-        roots.append(float(grid[int(np.argmin(lv))]))
+        # properness guarantees a minimizer; take the grid point where
+        # log Vol is least
+        roots.append(float(min(SCAN_GRID, key=lambda c: log_vol(ctx, TorusWeight(c), lam))))
     roots = sorted(roots)
     out = []
     for rt in roots:

@@ -16,11 +16,13 @@ from mpmath import mp, mpf
 
 from .dh import TorusWeight
 from .errors import BracketError, MucsckError, PoleError
-from .functionals import FunctionalContext, d2_mu_vol, extremal_chi, find_critical
+from .functionals import (FunctionalContext, critical_brackets, d2_mu_vol, extremal_chi,
+                          find_critical)
 from .solver import SolveResult, residual, solve_at, solve_chi, solve_coefficients
 from .surfaces import SurfaceSpec
 
 SEED_ACCEPT = 1e-12
+FREEZE_TOL = 1e-4
 
 
 class WindowExhaustedError(MucsckError):
@@ -159,7 +161,7 @@ def trace(spec: SurfaceSpec, lambda_grid, seed_bracket) -> list:
 
     Per-point failures are recorded as gap points, not raised; when several
     roots coexist the traced branch is the one continuous with the warm
-    start (all roots at a given lam are available via scan_chi_roots).
+    start (all roots at a given lam are the nonzero roots of find_critical).
     """
     grid = list(lambda_grid)
     diffs = [b - a for a, b in zip(grid, grid[1:])]
@@ -210,16 +212,10 @@ def extremal_limit_check(spec: SurfaceSpec, lambda_far: float):
 # -- phase structure ----------------------------------------------------------------
 
 
-def lambda_freeze_estimate(spec: SurfaceSpec, scan, tol: float = 1e-4) -> float:
-    """Smallest lam at which the volume profile acquires extra critical points.
-
-    Bisection on the critical-point count over the scan window (lam_lo,
-    lam_hi); the count must differ at the two ends.
-    """
-    lam_lo, lam_hi = float(scan[0]), float(scan[1])
-    ctx = FunctionalContext(spec)
-    n_lo = len(find_critical(ctx, lam_lo))
-    n_hi = len(find_critical(ctx, lam_hi))
+def _freeze_bisect(ctx: FunctionalContext, lam_lo: float, lam_hi: float) -> float:
+    # len(find_critical(ctx, lam)), read off the cached obstruction curve
+    count = lambda lam: max(1, sum(len(ix) for ix in critical_brackets(ctx, lam)))  # noqa: E731
+    n_lo, n_hi = count(lam_lo), count(lam_hi)
     if (n_lo > 1) == (n_hi > 1):
         raise WindowExhaustedError(
             f"critical multiplicity does not change on [{lam_lo}, {lam_hi}] "
@@ -228,13 +224,22 @@ def lambda_freeze_estimate(spec: SurfaceSpec, scan, tol: float = 1e-4) -> float:
             count_hi=n_hi,
         )
     multi_at_hi = n_hi > 1
-    while lam_hi - lam_lo > tol:
+    while lam_hi - lam_lo > FREEZE_TOL:
         mid = 0.5 * (lam_lo + lam_hi)
-        if (len(find_critical(ctx, mid)) > 1) == multi_at_hi:
+        if (count(mid) > 1) == multi_at_hi:
             lam_hi = mid
         else:
             lam_lo = mid
     return 0.5 * (lam_lo + lam_hi)
+
+
+def lambda_freeze_estimate(spec: SurfaceSpec, scan) -> float:
+    """Smallest lam at which the volume profile acquires extra critical points.
+
+    Bisection to FREEZE_TOL on the critical-point count over the scan window
+    (lam_lo, lam_hi); the count must differ at the two ends.
+    """
+    return _freeze_bisect(FunctionalContext(spec), float(scan[0]), float(scan[1]))
 
 
 def phase_diagram(spec: SurfaceSpec, lambda_grid) -> PhaseDiagram:
@@ -262,5 +267,5 @@ def phase_diagram(spec: SurfaceSpec, lambda_grid) -> PhaseDiagram:
         lo = max(g for g, m in zip(grid, multi) if not m)
         hi = min(g for g, m in zip(grid, multi) if m)
         if lo < hi:
-            transition = lambda_freeze_estimate(spec, (lo, hi))
+            transition = _freeze_bisect(ctx, lo, hi)
     return PhaseDiagram(grid, tuple(counts), tuple(rows), transition)

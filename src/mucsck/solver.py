@@ -393,29 +393,6 @@ def solve_chi(spec: SurfaceSpec, lam: float, bracket) -> SolveResult:
     return solve_at(spec, lam, float(root))
 
 
-def scan_chi_roots(spec: SurfaceSpec, lam: float, chi_abs_range=(1e-3, 30.0),
-                   per_decade: int = 40):
-    """All residual roots found on a log-spaced grid over both signs of chi."""
-    lo, hi = chi_abs_range
-    decades = math.log10(hi / lo)
-    n = max(2, int(round(per_decade * decades)) + 1)
-    mags = np.logspace(math.log10(lo), math.log10(hi), n)
-    roots = []
-    for sign in (-1.0, 1.0):
-        grid = sign * mags
-        vals = np.array([residual(spec, lam, TorusWeight(c)) for c in grid])
-        for i in range(len(grid) - 1):
-            if np.isfinite(vals[i]) and np.isfinite(vals[i + 1]):
-                if vals[i] == 0.0:
-                    roots.append(float(grid[i]))
-                elif np.sign(vals[i]) * np.sign(vals[i + 1]) < 0:
-                    a, b = sorted((grid[i], grid[i + 1]))
-                    roots.append(float(brentq(
-                        lambda c: residual(spec, lam, TorusWeight(c)), a, b,
-                        xtol=1e-13, rtol=8.9e-16)))
-    return sorted(roots)
-
-
 def flat_disk_limit_gap(spec: SurfaceSpec, chi: float, tau_hi: float = 1.8) -> float:
     """sup over [0, tau_hi] of |phi^{lam(chi)}_chi - 2 tau| on the unit line.
 

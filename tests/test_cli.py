@@ -248,6 +248,36 @@ def test_numerical_value_error_exits_3(tmp_path, capsys, monkeypatch, exc):
 
 
 @pytest.mark.parametrize("command, cfg", [
+    ("muvol", {"surface": CP1, "lambda": 1.0, "chi_grid": [1e300]}),
+    ("futaki", {"surface": CP1, "lambda": 1.0, "chi": 1e300}),
+    ("energy", {"surface": CP1, "lambda": 1.0, "chi": 1e300}),
+    ("muvol", {"surface": {"kind": "CP1", "m": 1e300}, "lambda": 1.0}),
+    ("futaki", {"surface": {"kind": "Ruled", "k": 1, "genus": 0, "m": 1e300}, "lambda": 1.0,
+                "chi": 0.5}),
+])
+def test_finite_extreme_input_exits_3(tmp_path, capsys, command, cfg):
+    # overflow and division by zero on finite input are numerical failures
+    code, _ = run(tmp_path, command, cfg)
+    assert code == 3
+    assert "numerical failure" in capsys.readouterr().err
+
+
+def test_profile_points_bounded_before_the_solve(tmp_path, capsys, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved an over-long profile request")
+
+    monkeypatch.setattr(cli, "solve_chi", no_solve)
+    cfg = {"surface": CP1, "lambda": 5.0, "bracket": [0.1, 5.0], "profile_points": 10002}
+    code, _ = run(tmp_path, "solve", cfg)
+    assert code == 2
+    assert "profile_points must be in [1, 10001]" in capsys.readouterr().err
+    monkeypatch.undo()
+    code, out = run(tmp_path, "solve", dict(cfg, profile_points=10001))
+    assert code == 0
+    assert len(out.read_text().splitlines()) == 10002
+
+
+@pytest.mark.parametrize("command, cfg", [
     ("futaki", {"surface": {"kind": "Ruled", "k": 1.5}, "lambda": 1.0}),
     ("futaki", {"surface": {"kind": "Ruled", "genus": 1.9}, "lambda": 1.0}),
     ("futaki", {"surface": {"kind": "Ruled", "k": "2"}, "lambda": 1.0}),

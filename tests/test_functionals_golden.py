@@ -7,12 +7,18 @@ profile: log_vol, sbar, mu_vol, nu, futaki, d2_mu_vol, lambda_xi,
 lambda_inf, W_check at kappa != 0, properness slopes and find_critical
 roots, stored as hex floats and compared exactly.
 
+The "phase" section pins the phase layer, which no CLI golden covers on a
+ruled surface: lambda_freeze_estimate on one window per surface, and the
+phase_diagram counts, roots, classifications and transition on a 7-point
+lambda grid across the same window; it is compared exactly too.
+
 The "closed_form" section holds C_functional, extremal_chi,
 classical_futaki, lambda_hat(., ., 0) and W_check(., ., 0), which are closed
 forms in the unweighted statistics; it is compared to 1e-14 absolute.
 
 The golden file was written by the code before the functionals moved onto
-one cached node table per context.  To rewrite it after an intended output
+one cached node table per context; its "phase" section by the code before
+the critical points moved onto one cached obstruction curve per context.  To rewrite it after an intended output
 change (which must be recorded with its size in CHANGES.md), run
 
     PYTHONPATH=src python tests/test_functionals_golden.py
@@ -22,6 +28,7 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mucsck.dh import TorusWeight
@@ -43,6 +50,7 @@ from mucsck.functionals import (
     properness_slope,
     sbar,
 )
+from mucsck.path import lambda_freeze_estimate, phase_diagram
 from mucsck.surfaces import SurfaceSpec
 
 GOLDEN = Path(__file__).parent / "golden" / "functionals.json"
@@ -55,6 +63,13 @@ SURFACES = {
 CHIS = (-1.3, 0.0, 0.7)
 LAMBDAS = (0.0, 2.5)
 DIR = TorusWeight(0.8)
+# lambda windows in which the critical-point count changes
+FREEZE_WINDOWS = {
+    "cp1": (SurfaceSpec.cp1(1.0), (3.0, 5.0)),
+    "cp1_2.5": (SurfaceSpec.cp1(2.5), (1.0, 2.0)),
+    "p2_blowup": (SurfaceSpec.p2_blowup(), (0.5, 30.0)),
+    "ruled_2_1_1.5": (SurfaceSpec.ruled(2, 1, 1.5), (3.0, 6.0)),
+}
 
 
 def contexts():
@@ -102,11 +117,27 @@ def closed_form_values(ctx):
     return out
 
 
+def phase_values(spec, window):
+    out = {"lambda_freeze": lambda_freeze_estimate(spec, window)}
+    pd = phase_diagram(spec, np.linspace(window[0], window[1], 7))
+    for lam, count, row in zip(pd.lambda_grid, pd.critical_counts, pd.classifications):
+        out[f"count/{lam}"] = float(count)
+        for i, (root, kind) in enumerate(row):
+            out[f"root/{lam}/{i}/{kind}"] = root
+    out["transition"] = pd.transition_lambda
+    return out
+
+
 def compute():
-    return {
+    out = {
         section: {name: {k: v.hex() for k, v in fn(ctx).items()} for name, ctx in contexts()}
         for section, fn in (("exact", exact_values), ("closed_form", closed_form_values))
     }
+    out["phase"] = {
+        name: {k: v.hex() for k, v in phase_values(spec, window).items()}
+        for name, (spec, window) in FREEZE_WINDOWS.items()
+    }
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -117,6 +148,11 @@ def golden_and_now():
 def test_exact_functionals_match_golden_bits(golden_and_now):
     golden, now = golden_and_now
     assert now["exact"] == golden["exact"]
+
+
+def test_phase_layer_matches_golden_bits(golden_and_now):
+    golden, now = golden_and_now
+    assert now["phase"] == golden["phase"]
 
 
 def test_closed_forms_match_golden_to_rounding(golden_and_now):

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+import mucsck.functionals
+import mucsck.path
 from mucsck.dh import TorusWeight
-from mucsck.functionals import FunctionalContext, find_critical
+from mucsck.functionals import FunctionalContext, find_critical, lambda_xi
 from mucsck.path import (
     PhaseDiagram,
     WindowExhaustedError,
@@ -15,7 +17,7 @@ from mucsck.path import (
     tau0_sign_polynomials,
     trace,
 )
-from mucsck.solver import scan_chi_roots, solve_coefficients
+from mucsck.solver import residual, solve_chi, solve_coefficients
 from mucsck.surfaces import SurfaceSpec
 
 P2 = SurfaceSpec.p2_blowup()
@@ -99,12 +101,30 @@ def test_trace_line_branch_grows():
 
 
 def test_nonzero_criticals_match_solver_roots():
+    # lam = lambda_xi: every nonzero critical point is a root of the shooting
+    # residual, which the solver finds on its own in a +-5 % bracket
     for lam in (5.0, 6.0):
         crit = [c for c in find_critical(FunctionalContext(CP1), lam) if c != 0.0]
-        roots = scan_chi_roots(CP1, lam)
-        assert len(crit) == len(roots) == 2
-        for c, r in zip(sorted(crit), sorted(roots)):
-            assert c == pytest.approx(r, abs=1e-8)
+        assert len(crit) == 2
+        for c in crit:
+            res = solve_chi(CP1, lam, tuple(sorted((0.95 * c, 1.05 * c))))
+            assert c == pytest.approx(res.chi, abs=1e-8)
+
+
+@pytest.mark.parametrize("spec", [CP1, SurfaceSpec.cp1(2.5), P2, SurfaceSpec.ruled(2, 1, 1.5),
+                                  SurfaceSpec.ruled(3, 0, 0.5)],
+                         ids=["cp1", "cp1_2.5", "p2_blowup", "ruled_2_1_1.5", "ruled_3_0_0.5"])
+def test_solver_lambda_equals_lambda_xi(spec):
+    # the shooting residual is affine in lam, so its root in lam at fixed chi
+    # is one secant step; it is the functionals' lambda_xi (Futaki / nu)
+    ctx = FunctionalContext(spec)
+    mags = np.geomspace(0.3, 10.0 / (spec.tau_hi - spec.tau_lo), 7)
+    for chi in np.concatenate([-mags, mags]):
+        w = TorusWeight(float(chi))
+        r0, r1 = residual(spec, 0.0, w), residual(spec, 1.0, w)
+        lam_solver = -r0 / (r1 - r0)
+        lam_xi = lambda_xi(ctx, w)
+        assert abs(lam_solver - lam_xi) <= 1e-10 * max(1.0, abs(lam_xi)), chi
 
 
 def test_trace_records_gaps():
@@ -157,6 +177,15 @@ def test_lambda_freeze_ruled_finite_positive():
     est = lambda_freeze_estimate(SurfaceSpec.ruled(1, 0, 2.0), (0.5, 30.0))
     assert est == pytest.approx(RULED_LAMBDA_FREEZE, abs=2e-3)
     assert est > 0.0
+
+
+def test_lambda_freeze_reads_the_cached_curve(monkeypatch):
+    def no_refinement(*args, **kwargs):
+        raise AssertionError("lambda_freeze_estimate refined roots")
+
+    monkeypatch.setattr(mucsck.path, "find_critical", no_refinement)
+    monkeypatch.setattr(mucsck.functionals, "find_critical", no_refinement)
+    assert lambda_freeze_estimate(CP1, (3.0, 5.0)) == pytest.approx(4.0, abs=1e-3)
 
 
 def test_lambda_freeze_window_exhausted():

@@ -14,7 +14,6 @@ from mucsck.solver import (
     mu_scalar_curvature,
     positivity_certificate,
     residual,
-    scan_chi_roots,
     solve_at,
     solve_chi,
     solve_coefficients,
@@ -320,12 +319,6 @@ def test_cp1_lam5_matches_bisection_oracle():
 def test_cp1_below_threshold_has_no_root():
     with pytest.raises(BracketError):
         solve_chi(CP1, 3.0, (0.1, 5.0))
-
-
-def test_scan_finds_symmetric_cp1_roots():
-    roots = scan_chi_roots(CP1, 5.0)
-    assert len(roots) == 2
-    assert roots[0] == pytest.approx(-roots[1], rel=1e-9)
 
 
 # -- scaling covariance -------------------------------------------------------------
