@@ -10,14 +10,17 @@ metric positivity is phi > 0 on the open interval.  Three representations:
   a = b = 0 and a cubic).  The coefficients stay in the arithmetic of the
   solve: floats, or mpfs where the float form cancels catastrophically
   (small |chi|, large |chi|*width).  psi^(n) has one formula, evaluated
-  vectorised for floats and node by node in mpmath for mpfs.
+  vectorised for floats and node by node in mpmath for mpfs.  For mpfs,
+  `psi_bound` also evaluates it in floats with a derived bound on the gap to
+  the mpmath value, so that a caller (the positivity certificate) needs
+  the node-by-node mpmath values only where that bound cannot decide.
 * SampledProfile -- values and derivatives on a grid, spline-interpolated.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from mpmath import mp, mpf
@@ -120,6 +123,47 @@ class ClosedFormProfile:
         if n:
             expo = expo + n * b * chi ** (n - 1)
         return expo * e + poly
+
+    def psi_bound(self, tau, n):
+        """(value, bound) of psi^(n) at the float nodes tau, for n = 0 or 2.
+
+        value is `_psi_at` evaluated in floats from the float-rounded
+        coefficients; bound B satisfies |value - float(psi^(n) in MP_DPS
+        digits)| <= B at every node.  An infinite or NaN value or bound
+        leaves the node undecided.
+
+        With u = 2^-53, every float operation and the rounding of each
+        coefficient err by at most u relative to the magnitude of the term
+        they feed, and M = |chi|^n (|a| + |b||tau|) e^{chi tau}
+        + n |b| |chi|^{n-1} e^{chi tau} + sum_j |c_j^(n)| |tau|^{j-n} bounds
+        the magnitude of every term.  The rounding of chi*tau perturbs the
+        exponential by u |chi tau| relative.  C = 32 covers the coefficient
+        roundings, `np.exp` (a few ulp), the at most ~15 operations of the
+        formula and the final rounding of the MP_DPS-digit value (u / 2
+        relative, its own error being ~1e-40 relative), so B = u (|chi tau|
+        + C) M.  The relative model fails only on underflow: a coefficient
+        that rounds below the normal range, or any underflowing operation,
+        makes every bound infinite.
+        """
+        t = _as_array(tau)
+        coeffs = (self.a, self.b, *self.poly_coeffs)
+        rounded = [float(c) for c in coeffs]
+        undecided = np.full(t.shape, np.nan), np.full(t.shape, np.inf)
+        if any(c != 0 and abs(x) < np.finfo(float).tiny for c, x in zip(coeffs, rounded)):
+            return undecided
+        a, b, *poly = rounded
+        chi = self.chi
+        with np.errstate(under="raise", over="ignore", invalid="ignore"):
+            try:
+                value = replace(self, a=a, b=b, poly_coeffs=tuple(poly))._psi_at(t, n)
+                size = abs(chi) ** n * (abs(a) + abs(b) * np.abs(t))
+                if n:
+                    size = size + n * abs(b) * abs(chi) ** (n - 1)
+                size = size * np.exp(chi * t) + np.polynomial.polynomial.polyval(
+                    np.abs(t), np.polynomial.polynomial.polyder(np.abs(poly), n))
+            except FloatingPointError:
+                return undecided
+        return value, 2.0 ** -53 * (np.abs(chi * t) + 32.0) * size
 
     # -- phi ------------------------------------------------------------------
 

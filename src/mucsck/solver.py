@@ -319,17 +319,27 @@ def positivity_certificate(profile, spec: SurfaceSpec) -> PositivityCertificate:
     psi''' = (b chi^3 tau + a chi^3 + 3 b chi^2) e^{chi tau} has at most one
     root tau0; together with the inflection structure this bounds the shape,
     but the verdict itself is the scanned interior minimum.
+
+    A profile with mp coefficients is screened in floats first
+    (`ClosedFormProfile.psi_bound`): MP_DPS-digit values are computed only
+    at the nodes that may attain the minimum of phi and where the sign of
+    psi'' is in doubt.  No other node can change the minimum, its first
+    index or a sign change, so the certificate is the one the full
+    MP_DPS-digit scan gives; a node the screen cannot decide takes that
+    exact evaluation.
     """
     lo, hi = spec.tau_lo, spec.tau_hi
     ts = np.linspace(lo, hi, SCAN_POINTS)[1:-1]
-    vals = np.asarray(profile.value(ts), dtype=float)
+    closed_form = isinstance(profile, ClosedFormProfile)
+    screened = closed_form and profile.use_mp
+    vals = _screened_phi(profile, ts) if screened else np.asarray(profile.value(ts), dtype=float)
     i = int(np.argmin(vals))
     min_phi, argmin = float(vals[i]), float(ts[i])
 
     tau0 = None
     method = "scan"
     flagged = False
-    if isinstance(profile, ClosedFormProfile) and profile.chi != 0.0:
+    if closed_form and profile.chi != 0.0:
         if profile.b != 0.0:
             tau0 = -float(profile.a) / float(profile.b) - 3.0 / profile.chi
             method = "analytic+scan"
@@ -337,8 +347,11 @@ def positivity_certificate(profile, spec: SurfaceSpec) -> PositivityCertificate:
             flagged = True
 
     inflections = []
-    if isinstance(profile, ClosedFormProfile):
-        d2 = np.asarray(profile.psi_deriv2(ts), dtype=float)
+    if closed_form:
+        if screened:
+            d2 = _screened_psi2(profile, ts)
+        else:
+            d2 = np.asarray(profile.psi_deriv2(ts), dtype=float)
         sign_change = np.nonzero(np.sign(d2[:-1]) * np.sign(d2[1:]) < 0)[0]
         for j in sign_change:
             try:
@@ -355,6 +368,36 @@ def positivity_certificate(profile, spec: SurfaceSpec) -> PositivityCertificate:
         method=method,
         flagged=flagged,
     )
+
+
+def _screened_phi(profile: ClosedFormProfile, ts):
+    """phi at ts, exact where a node may attain the minimum and +inf elsewhere.
+
+    phi_i = float(psi_i) / (1 - k tau_i), with 1 - k tau > 0 on the interval,
+    lies in [lo_i, hi_i].  A node with lo_i > min_j hi_j lies above another
+    node, so it is neither the minimum nor tied with it.  The half-width is
+    twice the bound, which leaves room for the rounding of the interval's
+    own ends.
+    """
+    value, bound = profile.psi_bound(ts, 0)
+    den = 1.0 - profile.k * ts
+    lo, hi = (value - 2.0 * bound) / den, (value + 2.0 * bound) / den
+    cand = ~(lo > np.min(hi, initial=np.inf, where=np.isfinite(hi)))
+    vals = np.full(ts.shape, np.inf)
+    vals[cand] = profile.value(ts[cand])
+    return vals
+
+
+def _screened_psi2(profile: ClosedFormProfile, ts):
+    """psi'' at ts, with the sign of its MP_DPS-digit value at every node.
+
+    Where |value| > bound the screened value has that sign; elsewhere psi''
+    is evaluated in MP_DPS digits.
+    """
+    d2, bound = profile.psi_bound(ts, 2)
+    doubt = ~(np.abs(d2) > bound)
+    d2[doubt] = profile.psi_deriv2(ts[doubt])
+    return d2
 
 
 def build_result(spec, lam, w, c, profile) -> SolveResult:

@@ -3,14 +3,18 @@
 Each case runs one subcommand on a fixed config and compares the bytes it
 writes with `tests/golden/<name>.<format>`.  The cases cover every
 subcommand, and the solver on the float branch, on both extended-precision
-windows (|chi|*width > 10 and |chi| < 1e-2) and across the float -> mp switch
-along a path.
+windows (|chi|*width > 10 at chi > 0 and chi < 0 on the line and on a ruled
+surface, and |chi| < 1e-2) and across the float -> mp switch along a path.
+The mp solves pin the positivity certificate's float screen: a minimum at
+the top end of the scan, a ruled surface's 1 - k tau != 1, and one and two
+inflections.
 
 The golden files were written by the code before the closed-form profile
 was unified, except `energy_perturbed.csv`: it was rewritten when the energy
 grid became the dh rule with 64 uniform panels (1024 nodes, before 1120 with
 4x-refined end panels), which moved 7 of its 13 values by at most 3.5e-17
-absolute.  To rewrite them after an intended output change (which must be
+absolute; and `solve_mp_wide_negative.json` and `solve_mp_wide_ruled.json`,
+written by the code before the certificate screened mp profiles in floats.  To rewrite them after an intended output change (which must be
 recorded with its size and oracle in CHANGES.md), run
 
     PYTHONPATH=src python tests/test_golden_cli.py
@@ -48,6 +52,15 @@ CASES = {
     # |chi|*width > 10: chi is about 5.9955 on an interval of width 2
     "solve_mp_wide": ("solve", "json", {
         "surface": {"kind": "CP1", "m": 1.0}, "lambda": 12.0, "bracket": [5.5, 6.5]}),
+    # |chi|*width > 10 at chi < 0: chi is about -5.4906, the minimum of phi
+    # sits at the top endpoint of the scan
+    "solve_mp_wide_negative": ("solve", "json", {
+        "surface": CP1, "lambda": 11.0, "bracket": [-5.8, -5.2]}),
+    # |chi|*width > 10 on a ruled surface (1 - k tau != 1), with two
+    # inflections: chi is about -7.2402
+    "solve_mp_wide_ruled": ("solve", "json", {
+        "surface": {"kind": "Ruled", "k": 2, "genus": 1, "m": 1.5}, "lambda": 5.0,
+        "bracket": [-7.6, -7.0]}),
     # |chi| < 1e-2: chi is about -0.00878
     "solve_mp_small_chi": ("solve", "csv", {
         "surface": P2_BLOWUP, "lambda": -60.0, "bracket": [-0.02, -0.003],

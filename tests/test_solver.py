@@ -1,14 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from mucsck.dh import TorusWeight
 from mucsck.errors import BracketError, ChiZeroBranchError, DomainError
 from mucsck.profiles import ClosedFormProfile, PolynomialProfile
 from mucsck.solver import (
+    SCAN_POINTS,
     _free_deriv,
+    _needs_mp,
     _psi_parts,
     _solve,
+    _solve_with_profile,
     chi_zero_branch,
     flat_disk_limit_gap,
     mu_scalar_curvature,
@@ -376,6 +381,112 @@ def test_certificate_on_certified_solution_records_tau0():
     cert = res.positivity
     assert cert.tau0 is not None
     assert cert.tau0 == pytest.approx(-res.a / res.b - 3.0 / res.chi, rel=1e-12)
+
+
+# -- float screen of extended-precision profiles ---------------------------------------
+
+SCREEN_SURFACES = {
+    "cp1": CP1,
+    "cp1_0.6": SurfaceSpec.cp1(0.6),
+    "p2_blowup": SurfaceSpec.p2_blowup(),
+    "ruled_2_1_1.5": SurfaceSpec.ruled(2, 1, 1.5),
+    "ruled_3_2_0.6": SurfaceSpec.ruled(3, 2, 0.6),
+}
+RULED_SCREEN = ("p2_blowup", "ruled_2_1_1.5", "ruled_3_2_0.6")
+
+
+def _width(spec):
+    return spec.tau_hi - spec.tau_lo
+
+
+def _curve_lambda(spec, chi):
+    # the residual is affine in lambda at fixed chi
+    r0, r1 = (residual(spec, lam, TorusWeight(chi)) for lam in (0.0, 1.0))
+    return -r0 / (r1 - r0)
+
+
+def _mp_profile(spec, lam, chi):
+    assert _needs_mp(spec, chi)
+    return _solve_with_profile(spec, lam, TorusWeight(chi))[1]
+
+
+def _screen_cases():
+    for name, spec in SCREEN_SURFACES.items():
+        chis = [s * r / _width(spec) for r in (10.5, 11.5, 14.0, 20.0) for s in (1.0, -1.0)]
+        if name in RULED_SCREEN:
+            chis += [-0.009, -0.002, -1e-4, -1e-5]
+        for chi in chis:
+            yield pytest.param(name, chi, None, id=f"{name}-{chi:.6g}")
+        # far off the solution curve at chi > 0: phi goes negative
+        lam = -40.0 if name in RULED_SCREEN else 40.0
+        yield pytest.param(name, chis[0], lam, id=f"{name}-{chis[0]:.6g}-off")
+
+
+@settings(max_examples=10, deadline=None)
+@given(name=st.sampled_from(sorted(SCREEN_SURFACES)),
+       wide=st.booleans(),
+       sign=st.sampled_from([1.0, -1.0]),
+       u=st.floats(0.0, 1.0),
+       on_curve=st.booleans(),
+       lam_off=st.floats(-20.0, 20.0))
+def test_psi_bound_holds_at_every_scan_node(name, wide, sign, u, on_curve, lam_off):
+    # the screened float value is within its bound of the rounded
+    # MP_DPS-digit value at every node of the certificate's scan that the
+    # screen decides (a non-finite value or bound leaves a node undecided)
+    spec = SCREEN_SURFACES[name]
+    chi = sign * (10.5 + 9.5 * u) / _width(spec) if wide else sign * 10.0 ** (-6.0 + 4.0 * u)
+    prof = _mp_profile(spec, _curve_lambda(spec, chi) if on_curve else lam_off, chi)
+    ts = np.linspace(spec.tau_lo, spec.tau_hi, SCAN_POINTS)[1:-1]
+    for n, exact in ((0, prof.psi_value), (2, prof.psi_deriv2)):
+        value, bound = prof.psi_bound(ts, n)
+        decided = np.isfinite(value) & np.isfinite(bound)
+        assert np.all(np.abs(value - exact(ts))[decided] <= bound[decided]), n
+
+
+def test_psi_bound_undecided_on_underflow():
+    # lambda = 4e-305 puts lambda/chi into the polynomial, and its product
+    # with tau = 2e-4 underflows: the relative error model no longer holds,
+    # so no node is decided
+    prof = _mp_profile(CP1, 4.0239883205089987e-305, 5.25)
+    value, bound = prof.psi_bound(np.array([2e-4, 1.0]), 0)
+    assert np.all(np.isnan(value)) and np.all(np.isinf(bound))
+
+
+@pytest.mark.parametrize("name, chi, lam", list(_screen_cases()))
+def test_screened_certificate_equals_full_scan(name, chi, lam, monkeypatch):
+    # infinite bounds leave every node undecided, which is the full
+    # MP_DPS-digit scan; the screen must give the same certificate, bit for bit
+    spec = SCREEN_SURFACES[name]
+    prof = _mp_profile(spec, _curve_lambda(spec, chi) if lam is None else lam, chi)
+    screened = positivity_certificate(prof, spec)
+    original = ClosedFormProfile.psi_bound
+
+    def unbounded(self, tau, n):
+        value, bound = original(self, tau, n)
+        return value, np.full_like(bound, np.inf)
+
+    monkeypatch.setattr(ClosedFormProfile, "psi_bound", unbounded)
+    assert repr(screened) == repr(positivity_certificate(prof, spec))
+    if lam is not None:
+        assert not screened.verdict
+
+
+def test_certificate_evaluates_few_mp_nodes(monkeypatch):
+    # strong-band CP1(1) root: the screen decides all but a handful of the
+    # 2 x 9999 scan nodes (the brentq refinement of the inflection included)
+    res = solve_chi(CP1, 11.0, (5.2, 5.8))
+    assert res.profile.use_mp and res.certified
+    nodes = []
+    original = ClosedFormProfile._psi
+
+    def counting(self, tau, n):
+        if self.use_mp:
+            nodes.append(np.size(tau))
+        return original(self, tau, n)
+
+    monkeypatch.setattr(ClosedFormProfile, "_psi", counting)
+    assert repr(positivity_certificate(res.profile, CP1)) == repr(res.positivity)
+    assert sum(nodes) <= 100
 
 
 # -- flat-disk limit -----------------------------------------------------------------
