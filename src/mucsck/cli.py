@@ -176,7 +176,7 @@ def cmd_path(cfg, spec, path, fmt, quiet):
 
 
 def cmd_energy(cfg, spec, path, fmt, quiet):
-    from .energy import GeodesicPath, muk_energy_partial, potential_from_profile
+    from .energy import GeodesicPath, _path_energies, potential_from_profile
 
     if spec.kind != CP1:
         raise ConfigError("energy is implemented on the line (surface.kind CP1)")
@@ -208,14 +208,9 @@ def cmd_energy(cfg, spec, path, fmt, quiet):
         u1 = potential_from_profile(bumped, spec)
     else:
         raise ConfigError(f"endpoint.kind must be fs, solve, or perturbed, got {kind!r}")
-    geo = GeodesicPath(u0, u1)
-    vals = [muk_energy_partial(spec, w, lam, geo, t) for t in t_grid]
-    second = np.full(len(vals), np.nan)
-    if len(vals) >= 3:
-        second[1:-1] = np.diff(vals, 2)
-    rows = [
-        [t, v, (None if np.isnan(s) else s)] for t, v, s in zip(t_grid, vals, second)
-    ]
+    vals = _path_energies(spec, w, lam, GeodesicPath(u0, u1), t_grid)
+    # the end rows have no second difference; zip drops the spare None of one point
+    rows = [[t, v, s] for t, v, s in zip(t_grid, vals, [None, *np.diff(vals, 2), None])]
     if fmt == "csv":
         write_csv(path, ["t", "M_value", "second_difference"], rows)
     else:

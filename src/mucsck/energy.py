@@ -17,7 +17,8 @@ geodesic equals minus the obstruction functional exactly.  Both integrate in
 tau on one grid: the dh composite Gauss-Legendre rule with TAU_PANELS
 uniform panels, without refinement at the endpoints (the integrands stay
 smooth there because the canonical part of U absorbs the boundary
-singularity).  The curvature comes from the one formula in the solver.
+singularity), and in t with one cumulative pass over a sorted time grid,
+`_t_integrals`.  The curvature comes from the one formula in the solver.
 """
 
 from __future__ import annotations
@@ -38,8 +39,6 @@ TAU_PANELS = 64
 DEFAULT_DEG = 96
 
 _TX, _TW = np.polynomial.legendre.leggauss(T_GAUSS_NODES)
-_T_NODES = 0.5 * (_TX + 1.0)
-_T_WEIGHTS = 0.5 * _TW
 
 
 @dataclass(frozen=True)
@@ -192,6 +191,8 @@ def vector_field_path(u0: SymplecticPotential, chi_dir: float) -> GeodesicPath:
 
 
 def _weight_data(spec: SurfaceSpec, w: TorusWeight):
+    if spec.kind != CP1:
+        raise ValueError("energy functional is implemented on the line")
     meas = spec.measure
     nodes, wts = _panel_nodes(meas, TAU_PANELS)
     dens = meas.density(nodes) * meas.scale
@@ -200,48 +201,58 @@ def _weight_data(spec: SurfaceSpec, w: TorusWeight):
     return nodes, wts, dens, expw, mass_w
 
 
-def _phi_jet(pot: SymplecticPotential, nodes):
+def _phi_jet(pot: SymplecticPotential, nodes, t=None):
     """(phi, phi', phi'') of phi = 1/U'' at the nodes.
 
     U'' and its next two derivatives are evaluated once each.
     """
-    u2 = _require_convex(pot, nodes)
+    u2 = _require_convex(pot, nodes, t)
     u3, u4 = pot.d3(nodes), pot.d4(nodes)
     return 1.0 / u2, -u3 / u2 ** 2, -u4 / u2 ** 2 + 2.0 * u3 ** 2 / u2 ** 3
 
 
-def _inner_product(spec, w, lam, pot, vel_vals, grid):
-    """<shat^lam(g_t), U-dot>_w / V_w at one path time."""
+def _inner_product(spec, w, lam, pot, vel_vals, grid, t=None):
+    """<shat^lam(g_t), U-dot>_w / V_w at one path time t."""
     nodes, wts, dens, expw, mass_w = grid
-    s_lam, s_box = mu_curvatures(spec, w.chi, lam, nodes, _phi_jet(pot, nodes))
+    s_lam, s_box = mu_curvatures(spec, w.chi, lam, nodes, _phi_jet(pot, nodes, t))
     bary = float(np.sum(nodes * dens * expw * wts)) / mass_w
     sbar_lam = float(np.sum(s_box * dens * expw * wts)) / mass_w + lam * w.chi * bary
     shat = s_lam - sbar_lam
     return float(np.sum(shat * vel_vals * dens * expw * wts)) / mass_w
 
 
-def _energy_until(spec: SurfaceSpec, w: TorusWeight, lam: float, path, t_end: float) -> float:
-    """Path-integral energy over [0, t_end] (Gauss, 32 nodes in t)."""
-    if spec.kind != CP1:
-        raise ValueError("energy functional is implemented on the line")
+def _t_integrals(rate, t_grid):
+    """int_0^t rate for every t >= 0 of t_grid (any order): one Gauss rule per
+    panel [t_{i-1}, t_i] of the sorted times (t_0 = 0), so the rate is
+    evaluated once per t-node and a repeated time costs nothing."""
+    ts = np.asarray(t_grid, dtype=float)
+    if np.any(ts < 0.0):
+        raise ValueError("path times must be nonnegative")
+    out = np.empty(ts.shape)
+    total = start = 0.0
+    for i in np.argsort(ts, kind="stable"):
+        if ts[i] > start:
+            half = 0.5 * (ts[i] - start)
+            for x, xw in zip(_TX, _TW):
+                total += half * xw * rate(start + half * (x + 1.0))
+            start = ts[i]
+        out[i] = total
+    return out
+
+
+def _path_energies(spec: SurfaceSpec, w: TorusWeight, lam: float, path, t_grid):
+    """Path-integral energies M(t) for every t in t_grid, from one cumulative pass."""
     grid = _weight_data(spec, w)
-    nodes = grid[0]
-    total = 0.0
-    for x, xw in zip(_TX, _TW):
-        t = 0.5 * t_end * (x + 1.0)
-        tw = 0.5 * t_end * xw
-        pot = path.at(t)
-        try:
-            inner = _inner_product(spec, w, lam, pot, path.velocity(t)(nodes), grid)
-        except PathDegeneracyError:
-            raise PathDegeneracyError("potential lost convexity along the path", t=float(t))
-        total += tw * inner
-    return total
+
+    def rate(t):
+        return _inner_product(spec, w, lam, path.at(t), path.velocity(t)(grid[0]), grid, t)
+
+    return _t_integrals(rate, t_grid)
 
 
 def muk_energy_path(spec: SurfaceSpec, w: TorusWeight, lam: float, path) -> float:
     """Path-integral energy along t in [0, 1]."""
-    return _energy_until(spec, w, lam, path, 1.0)
+    return float(_path_energies(spec, w, lam, path, [1.0])[0])
 
 
 def muk_energy_endpoint_derivative(
@@ -328,8 +339,6 @@ def muk_energy_chen_tian(spec: SurfaceSpec, w: TorusWeight, lam: float, u0, u1) 
     weighted measures; the remaining terms stay as t-integrals but involve
     only reference-metric data composed through the moment maps.
     """
-    if spec.kind != CP1:
-        raise ValueError("energy functional is implemented on the line")
     chi = w.chi
     grid = _weight_data(spec, w)
     nodes, wts, dens, expw, mass_w = grid
@@ -342,8 +351,7 @@ def muk_energy_chen_tian(spec: SurfaceSpec, w: TorusWeight, lam: float, u0, u1) 
     path = GeodesicPath(u0, u1)
     entropy = relative_entropy(spec, w, u0, u1)
 
-    total = entropy
-    for t, tw in zip(_T_NODES, _T_WEIGHTS):
+    def rate(t):
         pot = path.at(t)
         vel = path.velocity(t)
         # two-form piece: base-momentum integral against the weight of g_t
@@ -363,13 +371,13 @@ def muk_energy_chen_tian(spec: SurfaceSpec, w: TorusWeight, lam: float, u0, u1) 
         ))
         base_int = float(np.sum(phidot * dens * expw * wts))
         theta_int = float(np.sum((-chi * nodes) * phidot * dens * expw * wts))
-        term = (
+        return (
             -(two_form + zero_form) / mass_w
             + sbar0 * base_int / mass_w
             + lam * (theta_int - theta_bar * base_int) / mass_w
         )
-        total += tw * term
-    return total
+
+    return entropy + float(_t_integrals(rate, [1.0])[0])
 
 
 # -- convexity and the geodesic equation ---------------------------------------------------------
@@ -377,9 +385,7 @@ def muk_energy_chen_tian(spec: SurfaceSpec, w: TorusWeight, lam: float, u0, u1) 
 
 def muk_energy_partial(spec: SurfaceSpec, w: TorusWeight, lam: float, path, t_end: float) -> float:
     """Energy accumulated along the path restricted to [0, t_end]."""
-    if t_end < 0.0:
-        raise ValueError("t_end must be nonnegative")
-    return _energy_until(spec, w, lam, path, t_end)
+    return float(_path_energies(spec, w, lam, path, [t_end])[0])
 
 
 def geodesic_convexity(spec: SurfaceSpec, w: TorusWeight, lam: float, path, t_grid):
@@ -387,8 +393,7 @@ def geodesic_convexity(spec: SurfaceSpec, w: TorusWeight, lam: float, path, t_gr
     ts = np.asarray(list(t_grid), dtype=float)
     if ts.ndim != 1 or len(ts) < 3:
         raise ValueError("need at least three path times")
-    vals = np.array([muk_energy_partial(spec, w, lam, path, t) for t in ts])
-    return list(np.diff(vals, 2))
+    return list(np.diff(_path_energies(spec, w, lam, path, ts), 2))
 
 
 def geodesic_equation_residual(path, t: float, rho_grid, ht: float = 1e-3, hr: float = 1e-4):

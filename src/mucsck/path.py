@@ -8,6 +8,7 @@ classifies the critical-point structure of the volume profile.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -16,13 +17,12 @@ from mpmath import mp, mpf
 
 from .dh import TorusWeight
 from .errors import BracketError, MucsckError, PoleError
-from .functionals import (FunctionalContext, critical_brackets, d2_mu_vol, extremal_chi,
+from .functionals import (SCAN_GRID, FunctionalContext, critical_brackets, extremal_chi,
                           find_critical)
 from .solver import SolveResult, residual, solve_at, solve_chi, solve_coefficients
 from .surfaces import SurfaceSpec
 
 SEED_ACCEPT = 1e-12
-FREEZE_TOL = 1e-4
 
 
 class WindowExhaustedError(MucsckError):
@@ -223,44 +223,44 @@ def _freeze_bisect(ctx: FunctionalContext, lam_lo: float, lam_hi: float) -> floa
             count_lo=n_lo,
             count_hi=n_hi,
         )
-    multi_at_hi = n_hi > 1
-    while lam_hi - lam_lo > FREEZE_TOL:
-        mid = 0.5 * (lam_lo + lam_hi)
-        if (count(mid) > 1) == multi_at_hi:
-            lam_hi = mid
-        else:
-            lam_lo = mid
-    return 0.5 * (lam_lo + lam_hi)
+    # the count changes only at levels -F0[i] / F1[i]: bisect on one test between two edges
+    f0, f1 = ctx.obstruction_curve
+    with np.errstate(divide="ignore", invalid="ignore"):
+        levels = -f0 / f1
+    edges = np.unique(np.r_[lam_lo, levels[(levels > lam_lo) & (levels < lam_hi)], lam_hi])
+    k = bisect.bisect_left(0.5 * (edges[:-1] + edges[1:]), True,
+                           key=lambda lam: (count(lam) > 1) == (n_hi > 1))
+    return float(edges[k])
 
 
 def lambda_freeze_estimate(spec: SurfaceSpec, scan) -> float:
     """Smallest lam at which the volume profile acquires extra critical points.
 
-    Bisection to FREEZE_TOL on the critical-point count over the scan window
-    (lam_lo, lam_hi); the count must differ at the two ends.
+    The level of the cached obstruction curve at which the critical-point
+    count changes between the two ends of `scan`, whose counts must differ.
     """
-    return _freeze_bisect(FunctionalContext(spec), float(scan[0]), float(scan[1]))
+    return _freeze_bisect(FunctionalContext(spec), *sorted((float(scan[0]), float(scan[1]))))
 
 
 def phase_diagram(spec: SurfaceSpec, lambda_grid) -> PhaseDiagram:
     """Critical-point counts and min/max classification per lambda.
 
     A root is a local maximum of the sign-flipped volume profile exactly when
-    the log-volume Hessian is positive there; the origin turning into a local
-    minimum of that profile is the metastable regime.
+    F0 + lam F1 rises from the scan-grid point left of it to the one right of
+    it; the origin turning into a local minimum is the metastable regime.
     """
     ctx = FunctionalContext(spec)
+    f0, f1 = ctx.obstruction_curve
     grid = tuple(float(v) for v in lambda_grid)
-    counts = []
     rows = []
     for lam in grid:
         roots = find_critical(ctx, lam)
-        counts.append(len(roots))
-        row = []
-        for root in roots:
-            hess = d2_mu_vol(ctx, TorusWeight(root), lam, TorusWeight(1.0))
-            row.append((root, "muvol_max" if hess > 0.0 else "muvol_min"))
-        rows.append(tuple(row))
+        vals = f0 + lam * f1
+        left = np.clip(np.searchsorted(SCAN_GRID, roots) - 1, 0, None)
+        right = np.clip(np.searchsorted(SCAN_GRID, roots, "right"), None, len(SCAN_GRID) - 1)
+        rows.append(tuple(zip(roots, np.where(vals[right] > vals[left], "muvol_max",
+                                              "muvol_min").tolist())))
+    counts = tuple(len(row) for row in rows)
     transition = None
     multi = [c > 1 for c in counts]
     if any(multi) and not all(multi):
@@ -268,4 +268,4 @@ def phase_diagram(spec: SurfaceSpec, lambda_grid) -> PhaseDiagram:
         hi = min(g for g, m in zip(grid, multi) if m)
         if lo < hi:
             transition = _freeze_bisect(ctx, lo, hi)
-    return PhaseDiagram(grid, tuple(counts), tuple(rows), transition)
+    return PhaseDiagram(grid, counts, tuple(rows), transition)

@@ -112,6 +112,35 @@ def test_energy_constant_path_zero(tmp_path):
     assert all(float(r["M_value"]) == 0.0 for r in rows)
 
 
+PERTURBED_ENERGY = {"surface": CP1, "lambda": 2.0, "chi": 0.5,
+                    "endpoint": {"kind": "perturbed", "eps": 0.05}}
+
+
+def test_energy_grid_is_one_cumulative_pass(tmp_path, monkeypatch):
+    # t = 0 costs nothing and each of the three panels takes the 32-node rule;
+    # restarting from t = 0 at every time would take 4 x 32 = 128 evaluations
+    import mucsck.energy as energy
+
+    calls = []
+    inner = energy._inner_product
+    monkeypatch.setattr(energy, "_inner_product", lambda *a: calls.append(a) or inner(*a))
+    cfg = dict(PERTURBED_ENERGY, t_grid=[0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0])
+    code, _ = run(tmp_path, "energy", cfg)
+    assert code == 0
+    assert len(calls) == 96
+
+
+def test_energy_decreasing_grid_reverses_rows(tmp_path):
+    ts = [0.0, 0.2, 0.45, 0.7, 1.0]
+    rows = {}
+    for name, grid in (("up", ts), ("down", ts[::-1])):
+        code, out = run(tmp_path, "energy", dict(PERTURBED_ENERGY, t_grid=grid), name=name)
+        assert code == 0
+        rows[name] = out.read_text().splitlines()
+    assert rows["down"][0] == rows["up"][0]
+    assert rows["down"][1:] == rows["up"][1:][::-1]
+
+
 def test_energy_solve_endpoint(tmp_path):
     cfg = {"surface": CP1, "lambda": 5.0, "chi": 1.9175326869,
            "endpoint": {"kind": "solve", "lambda": 5.0, "bracket": [0.1, 5.0]},

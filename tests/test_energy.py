@@ -7,6 +7,7 @@ from mucsck.energy import (
     GeodesicPath,
     ReparametrizedPath,
     SymplecticPotential,
+    _path_energies,
     geodesic_convexity,
     geodesic_equation_residual,
     muk_energy_chen_tian,
@@ -140,6 +141,18 @@ def test_gauge_invariance_additive_velocity():
     a = muk_energy_path(SPEC, W_STAR, 5.0, path)
     b = muk_energy_path(SPEC, W_STAR, 5.0, Gauged())
     assert abs(a - b) <= 1e-10
+
+
+def test_grid_energies_match_restarts_from_zero(rng):
+    # one pass adds the panels [t_{i-1}, t_i] in another order than a restart
+    # from t = 0 at each time: equal to rounding, and the first time is the
+    # same [0, t] rule bit for bit; the times need not be sorted
+    path = GeodesicPath(U_FS, potential_from_profile(random_admissible_profile(rng), SPEC))
+    w, ts = TorusWeight(0.4), [0.0, 0.3, 0.55, 1.0, 0.8]
+    grid = _path_energies(SPEC, w, 2.0, path, ts)
+    restarts = np.array([muk_energy_partial(SPEC, w, 2.0, path, t) for t in ts])
+    assert grid[0] == 0.0 and grid[1] == restarts[1]
+    assert np.max(np.abs(grid - restarts)) <= 1e-15
 
 
 def test_degenerate_path_raises_with_location():

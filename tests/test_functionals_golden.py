@@ -17,9 +17,12 @@ classical_futaki, lambda_hat(., ., 0) and W_check(., ., 0), which are closed
 forms in the unweighted statistics; it is compared to 1e-14 absolute.
 
 The golden file was written by the code before the functionals moved onto
-one cached node table per context; its "phase" section by the code before
-the critical points moved onto one cached obstruction curve per context.  To rewrite it after an intended output
-change (which must be recorded with its size in CHANGES.md), run
+one cached node table per context; its "phase" section was rewritten when
+the phase layer read its classifications off the cached obstruction curve
+(the cp1 origin at lambda = 4 became "muvol_max") and its transitions at the
+curve level where the critical count changes (lambda_freeze and transition
+moved by 5e-6 to 4.0e-5).  To rewrite it after an intended output change
+(which must be recorded with its size in CHANGES.md), run
 
     PYTHONPATH=src python tests/test_functionals_golden.py
 

@@ -10,14 +10,27 @@ the top end of the scan, a ruled surface's 1 - k tau != 1, and one and two
 inflections.
 
 The golden files were written by the code before the closed-form profile
-was unified, except `energy_perturbed.csv`: it was rewritten when the energy
-grid became the dh rule with 64 uniform panels (1024 nodes, before 1120 with
-4x-refined end panels), which moved 7 of its 13 values by at most 3.5e-17
-absolute; and `solve_mp_wide_negative.json` and `solve_mp_wide_ruled.json`,
-written by the code before the certificate screened mp profiles in floats.  To rewrite them after an intended output change (which must be
-recorded with its size and oracle in CHANGES.md), run
+was unified, except:
 
-    PYTHONPATH=src python tests/test_golden_cli.py
+* `energy_perturbed.csv`, rewritten when the energy grid became the dh rule
+  with 64 uniform panels (1024 nodes, before 1120 with 4x-refined end
+  panels), which moved 7 of its 13 values by at most 3.5e-17 absolute; and
+  again when the energies on a time grid became one cumulative pass over the
+  panels between consecutive times (M(0.25) kept its bits, M(0.5), M(0.75)
+  and M(1) moved by 2.7e-18, 4.1e-18 and 1.0e-17, the second differences by
+  at most 4.7e-18);
+* `phase_cp1.json`, rewritten when the phase layer moved onto the cached
+  obstruction curve: the origin at lambda = 4 became "muvol_max" (the
+  closed form mu_vol = 2/m - x^4 / (45 m) + O(x^6) has a maximum there) and
+  transition_lambda moved from 4.0000305 to 4.0000003 (4/m = 4);
+* `solve_mp_wide_negative.json` and `solve_mp_wide_ruled.json`, written by
+  the code before the certificate screened mp profiles in floats.
+
+To rewrite some of them after an intended output change (which must be
+recorded with its size and oracle in CHANGES.md), name the cases; with no
+name every case is rewritten.  Each file whose bytes changed is printed.
+
+    PYTHONPATH=src python tests/test_golden_cli.py [NAME ...]
 """
 
 import json
@@ -97,8 +110,14 @@ if __name__ == "__main__":
 
     os.environ.pop("MUCSCK_OUT_DIR", None)
     GOLDEN.mkdir(exist_ok=True)
+    names = sys.argv[1:] or sorted(CASES)
+    unknown = sorted(set(names) - set(CASES))
+    if unknown:
+        sys.exit(f"unknown cases: {unknown}; known: {sorted(CASES)}")
     with tempfile.TemporaryDirectory() as tmp:
-        for case in sorted(CASES):
+        for case in names:
+            target = GOLDEN / f"{case}.{CASES[case][1]}"
             data = run_case(case, Path(tmp))
-            (GOLDEN / f"{case}.{CASES[case][1]}").write_bytes(data)
-            print(f"wrote {case}", file=sys.stderr)
+            if not target.exists() or target.read_bytes() != data:
+                target.write_bytes(data)
+                print(f"changed {target}", file=sys.stderr)

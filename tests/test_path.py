@@ -167,16 +167,32 @@ def test_extremal_limit_line_both_vanish():
 # -- lambda_freeze ------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("m", [1.0, 2.0])
+@pytest.mark.parametrize("m", [0.5, 1.0, 2.0, 2.5, 3.0])
 def test_lambda_freeze_line(m):
-    est = lambda_freeze_estimate(SurfaceSpec.cp1(m), (4.0 / m - 1.0, 4.0 / m + 1.0))
-    assert est == pytest.approx(4.0 / m, abs=1e-3)
+    # the count changes at the level of the grid points chi = +-1e-3, whose
+    # lambda_xi exceeds 4/m by about 4 m chi^2 / 15 (at most 8e-7 here)
+    spec = SurfaceSpec.cp1(m)
+    est = lambda_freeze_estimate(spec, (4.0 / m - 1.0, 4.0 / m + 1.0))
+    assert est == pytest.approx(4.0 / m, abs=1e-6)
+    assert lambda_freeze_estimate(spec, (4.0 / m + 1.0, 4.0 / m - 1.0)) == est
+    transition = phase_diagram(spec, [0.9 * 4.0 / m, 1.1 * 4.0 / m]).transition_lambda
+    assert transition == pytest.approx(4.0 / m, abs=1e-6)
 
 
 def test_lambda_freeze_ruled_finite_positive():
     est = lambda_freeze_estimate(SurfaceSpec.ruled(1, 0, 2.0), (0.5, 30.0))
     assert est == pytest.approx(RULED_LAMBDA_FREEZE, abs=2e-3)
     assert est > 0.0
+
+
+@pytest.mark.parametrize("spec, window", [(P2, (0.5, 30.0)),
+                                          (SurfaceSpec.ruled(2, 1, 1.5), (3.0, 6.0))],
+                         ids=["p2_blowup", "ruled_2_1_1.5"])
+def test_lambda_freeze_is_the_level_where_the_count_changes(spec, window):
+    est = lambda_freeze_estimate(spec, window)
+    ctx = FunctionalContext(spec)
+    assert len(find_critical(ctx, est - 1e-9)) == 1
+    assert len(find_critical(ctx, est + 1e-9)) == 3
 
 
 def test_lambda_freeze_reads_the_cached_curve(monkeypatch):
@@ -264,6 +280,14 @@ def test_phase_metastable_classification():
     assert row[0.0] == "muvol_min"  # the supercooled state
     nonzero = [k for c, k in pd.classifications[0] if c != 0.0]
     assert nonzero == ["muvol_max", "muvol_max"]
+
+
+@pytest.mark.parametrize("m", [1.0, 2.5, 3.0])
+def test_phase_degenerate_origin_is_a_maximum(m):
+    # at lam = 4/m, mu_vol = 2/m - x^4 / (45 m) + O(x^6) with x = -m chi: the
+    # quartic term makes the origin a maximum, where the Hessian is rounding noise
+    pd = phase_diagram(SurfaceSpec.cp1(m), [4.0 / m])
+    assert dict(pd.classifications[0])[0.0] == "muvol_max"
 
 
 def test_phase_counts_odd():
