@@ -19,11 +19,18 @@ uniform panels, without refinement at the endpoints (the integrands stay
 smooth there because the canonical part of U absorbs the boundary
 singularity), and in t with one cumulative pass over a sorted time grid,
 `_t_integrals`.  The curvature comes from the one formula in the solver.
+
+On the path route the path supplies its jets on the tau nodes (`jets`):
+U_t is affine in t along a geodesic, so the endpoints' (U'', U''', U'''')
+and the velocity are evaluated once, and each t-node only combines those
+arrays and checks U_t'' > 0.  The endpoint-entropy route stays independent
+of this: it composes the moment maps of each U_t by Newton iteration.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial.chebyshev import Chebyshev
@@ -92,27 +99,43 @@ class SymplecticPotential:
             return 0.5 * (2.0 / t ** 3 + 2.0 / (w - t) ** 3)
         raise ValueError(order)
 
+    @cached_property
+    def _smooth_derivs(self):
+        """(smooth', smooth'', smooth''', smooth''''), built once per potential.
+
+        Each series is the derivative of the one before, which gives the
+        coefficients of smooth.deriv(k) bit for bit.
+        """
+        derivs = [self.smooth.deriv(1)]
+        for _ in range(3):
+            derivs.append(derivs[-1].deriv(1))
+        return tuple(derivs)
+
     def value(self, t):
         return self._parts(t, 0) + self.smooth(np.asarray(t, dtype=float))
 
     def d1(self, t):
-        return self._parts(t, 1) + self.smooth.deriv(1)(np.asarray(t, dtype=float))
+        return self._parts(t, 1) + self._smooth_derivs[0](np.asarray(t, dtype=float))
 
     def d2(self, t):
-        return self._parts(t, 2) + self.smooth.deriv(2)(np.asarray(t, dtype=float))
+        return self._parts(t, 2) + self._smooth_derivs[1](np.asarray(t, dtype=float))
 
     def d3(self, t):
-        return self._parts(t, 3) + self.smooth.deriv(3)(np.asarray(t, dtype=float))
+        return self._parts(t, 3) + self._smooth_derivs[2](np.asarray(t, dtype=float))
 
     def d4(self, t):
-        return self._parts(t, 4) + self.smooth.deriv(4)(np.asarray(t, dtype=float))
+        return self._parts(t, 4) + self._smooth_derivs[3](np.asarray(t, dtype=float))
+
+    def jet(self, t):
+        """(U'', U''', U'''') at the points t, stacked in one array."""
+        return np.array([self.d2(t), self.d3(t), self.d4(t)])
 
     def plus_smooth(self, extra: Chebyshev) -> "SymplecticPotential":
         return SymplecticPotential(self.m, self.smooth + extra)
 
     def smooth_max_dslope(self, n: int = 257) -> float:
         ts = np.linspace(0.0, 2.0 * self.m, n)
-        return float(np.max(np.abs(self.smooth.deriv(1)(ts))))
+        return float(np.max(np.abs(self._smooth_derivs[0](ts))))
 
 
 class PotentialProfile:
@@ -164,6 +187,20 @@ class GeodesicPath:
     def velocity(self, t: float) -> Chebyshev:
         return self.u1.smooth - self.u0.smooth
 
+    def jets(self, nodes):
+        """t -> (jet of U_t, velocity), both as values at the nodes.
+
+        U_t is affine in t, so its jet (U_t'', U_t''', U_t'''') is the same
+        affine combination of the endpoints' jets, which are evaluated here
+        once; the velocity U_1 - U_0 does not depend on t.  The combination
+        is spelled e0 + t (e1 - e0): equal endpoints then give U_0's jet at
+        every t, also far outside [0, 1].
+        """
+        e0 = self.u0.jet(nodes)
+        de = self.u1.jet(nodes) - e0
+        vel = (self.u1.smooth - self.u0.smooth)(nodes)
+        return lambda t: (e0 + t * de, vel)
+
 
 @dataclass(frozen=True)
 class ReparametrizedPath:
@@ -176,8 +213,15 @@ class ReparametrizedPath:
     def at(self, t: float) -> SymplecticPotential:
         return self.base.at(self.gamma(t))
 
-    def velocity(self, t: float) -> Chebyshev:
-        return self.dgamma(t) * self.base.velocity(self.gamma(t))
+    def jets(self, nodes):
+        """The base path's jets at gamma(t), with the velocity scaled by gamma'(t)."""
+        base = self.base.jets(nodes)
+
+        def at_time(t):
+            jet, vel = base(self.gamma(t))
+            return jet, self.dgamma(t) * vel
+
+        return at_time
 
 
 def vector_field_path(u0: SymplecticPotential, chi_dir: float) -> GeodesicPath:
@@ -201,20 +245,23 @@ def _weight_data(spec: SurfaceSpec, w: TorusWeight):
     return nodes, wts, dens, expw, mass_w
 
 
-def _phi_jet(pot: SymplecticPotential, nodes, t=None):
-    """(phi, phi', phi'') of phi = 1/U'' at the nodes.
+def _phi_jet(u_jet, t=None):
+    """(phi, phi', phi'') of phi = 1/U'' from the values of (U'', U''', U'''').
 
-    U'' and its next two derivatives are evaluated once each.
+    U'' <= 0 anywhere means the potential is not convex there and phi is no
+    metric: PathDegeneracyError, carrying the path time t.
     """
-    u2 = _require_convex(pot, nodes, t)
-    u3, u4 = pot.d3(nodes), pot.d4(nodes)
+    u2, u3, u4 = u_jet
+    if np.any(u2 <= 0.0):
+        raise PathDegeneracyError("potential lost convexity", t=t)
     return 1.0 / u2, -u3 / u2 ** 2, -u4 / u2 ** 2 + 2.0 * u3 ** 2 / u2 ** 3
 
 
-def _inner_product(spec, w, lam, pot, vel_vals, grid, t=None):
-    """<shat^lam(g_t), U-dot>_w / V_w at one path time t."""
+def _inner_product(spec, w, lam, phi_jet, vel_vals, grid):
+    """<shat^lam(g_t), U-dot>_w / V_w at one path time t, from the phi-jet of
+    g_t and the velocity values at the grid nodes."""
     nodes, wts, dens, expw, mass_w = grid
-    s_lam, s_box = mu_curvatures(spec, w.chi, lam, nodes, _phi_jet(pot, nodes, t))
+    s_lam, s_box = mu_curvatures(spec, w.chi, lam, nodes, phi_jet)
     bary = float(np.sum(nodes * dens * expw * wts)) / mass_w
     sbar_lam = float(np.sum(s_box * dens * expw * wts)) / mass_w + lam * w.chi * bary
     shat = s_lam - sbar_lam
@@ -243,9 +290,11 @@ def _t_integrals(rate, t_grid):
 def _path_energies(spec: SurfaceSpec, w: TorusWeight, lam: float, path, t_grid):
     """Path-integral energies M(t) for every t in t_grid, from one cumulative pass."""
     grid = _weight_data(spec, w)
+    jets = path.jets(grid[0])
 
     def rate(t):
-        return _inner_product(spec, w, lam, path.at(t), path.velocity(t)(grid[0]), grid, t)
+        u_jet, vel = jets(t)
+        return _inner_product(spec, w, lam, _phi_jet(u_jet, t), vel, grid)
 
     return _t_integrals(rate, t_grid)
 
@@ -260,7 +309,8 @@ def muk_energy_endpoint_derivative(
 ) -> float:
     """d/ds of the energy when the endpoint moves by s * direction."""
     grid = _weight_data(spec, w)
-    return _inner_product(spec, w, lam, u_end, direction(grid[0]), grid)
+    nodes = grid[0]
+    return _inner_product(spec, w, lam, _phi_jet(u_end.jet(nodes)), direction(nodes), grid)
 
 
 # -- moment-map composition -----------------------------------------------------------------
@@ -275,8 +325,7 @@ def invert_uprime(pot: SymplecticPotential, targets):
     """
     targets = np.asarray(targets, dtype=float)
     width = 2.0 * pot.m
-    sp1 = pot.smooth.deriv(1)
-    sp2 = pot.smooth.deriv(2)
+    sp1, sp2 = pot._smooth_derivs[:2]
 
     def tau_of(y):
         return width / (1.0 + np.exp(-y))
@@ -310,13 +359,6 @@ def compose_moment_maps(u_from: SymplecticPotential, u_to: SymplecticPotential, 
 # -- the endpoint-entropy route ----------------------------------------------------------------
 
 
-def _require_convex(pot: SymplecticPotential, nodes, t=None):
-    vals = pot.d2(nodes)
-    if np.any(vals <= 0.0):
-        raise PathDegeneracyError("potential lost convexity", t=t)
-    return vals
-
-
 def relative_entropy(spec: SurfaceSpec, w: TorusWeight, u0, u1) -> float:
     """int log(d nu / d mu) d nu / V for the two weighted volume measures.
 
@@ -325,9 +367,9 @@ def relative_entropy(spec: SurfaceSpec, w: TorusWeight, u0, u1) -> float:
     with tau_0 the composed moment map.
     """
     nodes, wts, dens, expw, mass_w = _weight_data(spec, w)
-    f1 = 1.0 / _require_convex(u1, nodes)
+    f1 = _phi_jet(u1.jet(nodes))[0]
     tau0 = compose_moment_maps(u1, u0, nodes)
-    f0 = 1.0 / _require_convex(u0, tau0)
+    f0 = _phi_jet(u0.jet(tau0))[0]
     log_ratio = -w.chi * (nodes - tau0) + np.log(f1 / f0)
     return float(np.sum(log_ratio * dens * expw * wts)) / mass_w
 
@@ -344,7 +386,7 @@ def muk_energy_chen_tian(spec: SurfaceSpec, w: TorusWeight, lam: float, u0, u1) 
     nodes, wts, dens, expw, mass_w = grid
 
     f0_prof = PotentialProfile(u0)
-    _, box0 = mu_curvatures(spec, chi, lam, nodes, _phi_jet(u0, nodes))
+    _, box0 = mu_curvatures(spec, chi, lam, nodes, _phi_jet(u0.jet(nodes)))
     sbar0 = float(np.sum(box0 * dens * expw * wts)) / mass_w
     theta_bar = -chi * (float(np.sum(nodes * dens * expw * wts)) / mass_w)
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import mucsck.cli as cli
 from mucsck.cli import main
+from mucsck.dh import TorusWeight
 from mucsck.errors import ConfigError
 from mucsck.io import fmt17
 from mucsck.surfaces import SurfaceSpec
@@ -105,7 +106,7 @@ def test_phase_transition_near_threshold(tmp_path):
 
 def test_energy_constant_path_zero(tmp_path):
     cfg = {"surface": CP1, "lambda": 2.0, "chi": 0.5,
-           "endpoint": {"kind": "fs"}, "t_grid": [0.0, 0.5, 1.0]}
+           "endpoint": {"kind": "fs"}, "t_grid": [0.0, 0.5, 1.0, 1e20]}
     code, out = run(tmp_path, "energy", cfg)
     assert code == 0
     rows = list(csv.DictReader(out.read_text().splitlines()))
@@ -128,6 +129,24 @@ def test_energy_grid_is_one_cumulative_pass(tmp_path, monkeypatch):
     code, _ = run(tmp_path, "energy", cfg)
     assert code == 0
     assert len(calls) == 96
+
+
+def test_energy_jets_do_not_grow_with_the_grid(tmp_path, monkeypatch):
+    # U_t is affine in t: U'' is evaluated on the tau nodes once per endpoint,
+    # whether the grid has 2 times or 21
+    import mucsck.energy as energy
+
+    nodes = energy._weight_data(SurfaceSpec.cp1(1.0), TorusWeight(0.5))[0]
+    d2 = energy.SymplecticPotential.d2
+    counts = {}
+    for name, grid in (("two", [0.0, 1.0]), ("many", np.linspace(0.0, 1.0, 21).tolist())):
+        on_nodes = []
+        monkeypatch.setattr(energy.SymplecticPotential, "d2",
+                            lambda self, t: on_nodes.append(np.array_equal(t, nodes)) or d2(self, t))
+        code, _ = run(tmp_path, "energy", dict(PERTURBED_ENERGY, t_grid=grid), name=name)
+        assert code == 0
+        counts[name] = sum(on_nodes)
+    assert counts["two"] == counts["many"] > 0
 
 
 def test_energy_decreasing_grid_reverses_rows(tmp_path):
@@ -344,3 +363,30 @@ def test_surface_block_parses_or_raises_config_error(kind, params):
     except ConfigError:
         return
     assert isinstance(spec, SurfaceSpec)
+
+
+_NUMBERS = (st.integers() | st.floats()
+            | st.sampled_from([0.0, 1.0, 1e3, -1e3, 1e300, -1e300, 10 ** 400]))
+_ENDPOINTS = (
+    st.fixed_dictionaries({"kind": st.just("fs")})
+    | st.fixed_dictionaries({"kind": st.just("perturbed")}, optional={"eps": _NUMBERS | _JSON_VALUES})
+    | st.fixed_dictionaries({"kind": st.just("solve")},
+                            optional={"lambda": _NUMBERS | _JSON_VALUES,
+                                      "bracket": st.lists(_NUMBERS, min_size=2, max_size=2) | _JSON_VALUES,
+                                      "extra": _JSON_VALUES})
+    | _JSON_VALUES
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(block=st.fixed_dictionaries({}, optional={
+    "t_grid": st.lists(_NUMBERS, max_size=5) | _JSON_VALUES,
+    "chi": _NUMBERS | _JSON_VALUES,
+    "lambda": _NUMBERS | _JSON_VALUES,
+    "endpoint": _ENDPOINTS,
+}))
+def test_energy_block_exits_with_a_code(tmp_path_factory, block):
+    # any JSON in the energy block ends as a result, a config error or a
+    # numerical failure, never as a traceback
+    code, _ = run(tmp_path_factory.mktemp("energy"), "energy", dict(block, surface=CP1))
+    assert code in (0, 2, 3)

@@ -8,6 +8,7 @@ from mucsck.energy import (
     ReparametrizedPath,
     SymplecticPotential,
     _path_energies,
+    _weight_data,
     geodesic_convexity,
     geodesic_equation_residual,
     muk_energy_chen_tian,
@@ -132,15 +133,40 @@ def test_gauge_invariance_additive_velocity():
     path = GeodesicPath(U_FS, U_SOLVED)
 
     class Gauged:
-        def at(self, t):
-            return path.at(t)
+        def jets(self, nodes):
+            base = path.jets(nodes)
 
-        def velocity(self, t):
-            return path.velocity(t) + Chebyshev([3.7 * (1 + t)], domain=[0.0, 2.0])
+            def at_time(t):
+                jet, vel = base(t)
+                return jet, vel + 3.7 * (1 + t)
+
+            return at_time
 
     a = muk_energy_path(SPEC, W_STAR, 5.0, path)
     b = muk_energy_path(SPEC, W_STAR, 5.0, Gauged())
     assert abs(a - b) <= 1e-10
+
+
+def test_jets_match_the_potential_at_each_time(rng):
+    # the affine combination of the endpoint jets is the jet of the path's
+    # potential at t, for the geodesic and for a reparametrized clock
+    nodes = _weight_data(SPEC, TorusWeight(0.3))[0]
+    path = GeodesicPath(U_FS, potential_from_profile(random_admissible_profile(rng), SPEC))
+    gamma = lambda t: t * t * (3.0 - 2.0 * t)  # noqa: E731
+    dgamma = lambda t: 6.0 * t * (1.0 - t)  # noqa: E731
+    rp = ReparametrizedPath(path, gamma, dgamma)
+
+    def close(got, want):
+        return np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    for p, clock, speed in ((path, lambda t: t, lambda t: 1.0), (rp, gamma, dgamma)):
+        jets = p.jets(nodes)
+        for t in rng.uniform(0.0, 1.0, size=10):
+            jet, vel = jets(t)
+            pot = p.at(t)
+            for got, want in zip(jet, (pot.d2(nodes), pot.d3(nodes), pot.d4(nodes))):
+                assert close(got, want)
+            assert close(vel, speed(t) * path.velocity(clock(t))(nodes))
 
 
 def test_grid_energies_match_restarts_from_zero(rng):

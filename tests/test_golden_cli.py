@@ -18,7 +18,10 @@ was unified, except:
   again when the energies on a time grid became one cumulative pass over the
   panels between consecutive times (M(0.25) kept its bits, M(0.5), M(0.75)
   and M(1) moved by 2.7e-18, 4.1e-18 and 1.0e-17, the second differences by
-  at most 4.7e-18);
+  at most 4.7e-18); and again when the path energies came from the
+  endpoints' jets on the tau nodes in place of a Chebyshev series rebuilt
+  at every t-node (M moved by at most 2.8e-17, each move toward the
+  endpoint-entropy route, the second differences by at most 4.1e-18);
 * `phase_cp1.json`, rewritten when the phase layer moved onto the cached
   obstruction curve: the origin at lambda = 4 became "muvol_max" (the
   closed form mu_vol = 2/m - x^4 / (45 m) + O(x^6) has a maximum there) and
