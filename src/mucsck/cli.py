@@ -1,7 +1,13 @@
 """Command-line surface: one JSON config per run, deterministic outputs.
 
-Subcommands: muvol, solve, path, energy, phase, futaki.
-Exit codes: 0 success, 2 config error, 3 numerical failure.
+Subcommands: muvol, solve, path, energy, phase, futaki.  `COMMANDS` is the
+one table of them: name -> (handler, the config keys it takes besides
+surface and output).  A handler parses its block and computes; it returns
+its CSV header and rows, a JSON payload (None: one JSON object per row) and
+its stdout line, in which {path} stands for the output file.  `main` writes
+that one file and prints the line.
+Exit codes: 0 success, 2 config error, 3 numerical failure.  A non-finite
+number in the output is a numerical failure, and no file is written then.
 The only honored environment variable is MUCSCK_OUT_DIR (output directory
 override); everything else lives in the config for reproducibility.
 """
@@ -23,8 +29,6 @@ from .io import profile_rows, write_csv, write_json
 from .path import phase_diagram, trace
 from .solver import SCAN_POINTS, solve_chi
 from .surfaces import CP1, RULED, SurfaceSpec
-
-COMMANDS = ("muvol", "solve", "path", "energy", "phase", "futaki")
 
 
 def _check_keys(blob: dict, allowed, where: str):
@@ -49,6 +53,13 @@ def _integer(value, where: str) -> int:
     if not _finite(value, where).is_integer():
         raise ConfigError(f"{where} must be an integer, got {value!r}")
     return int(value)
+
+
+def _pair(value, where: str) -> tuple:
+    """A [lo, hi] config block as two finite floats."""
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ConfigError(f"{where} must be [lo, hi], got {value!r}")
+    return tuple(_finite(v, where) for v in value)
 
 
 def _monotone(grid, where: str):
@@ -88,7 +99,7 @@ def load_config(path: str, command: str) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}")
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
-    allowed = {"surface", "output"} | _COMMAND_KEYS[command]
+    allowed = {"surface", "output"} | COMMANDS[command][1]
     _check_keys(cfg, allowed, "config")
     if "surface" not in cfg:
         raise ConfigError("config requires a surface block")
@@ -114,68 +125,43 @@ def resolve_output(cfg: dict, args) -> tuple:
     return path, fmt
 
 
-def cmd_muvol(cfg, spec, path, fmt, quiet):
+def cmd_muvol(cfg, spec, fmt):
     lam = _finite(cfg.get("lambda", 0.0), "lambda")
     grid = _monotone(cfg.get("chi_grid", list(np.linspace(-3, 3, 61))), "chi_grid")
     ctx = FunctionalContext(spec)
     rows = []
-    for chi in grid:
-        w = TorusWeight(chi)
-        rows.append(["sample", chi, mu_vol(ctx, w, lam), d_mu_vol(ctx, w, lam, TorusWeight(1.0))])
-    for root in find_critical(ctx, lam):
-        w = TorusWeight(root)
-        rows.append(["critical", root, mu_vol(ctx, w, lam), d_mu_vol(ctx, w, lam, TorusWeight(1.0))])
-    if fmt == "csv":
-        write_csv(path, ["kind", "chi", "mu_vol", "d_mu_vol"], rows)
-    else:
-        write_json(path, [
-            {"kind": k, "chi": c, "mu_vol": m, "d_mu_vol": d} for k, c, m, d in rows
-        ])
-    if not quiet:
-        print(f"wrote {path}")
-    return 0
+    for kind, chis in (("sample", grid), ("critical", find_critical(ctx, lam))):
+        for chi in chis:
+            w = TorusWeight(chi)
+            rows.append([kind, chi, mu_vol(ctx, w, lam), d_mu_vol(ctx, w, lam, TorusWeight(1.0))])
+    return ["kind", "chi", "mu_vol", "d_mu_vol"], rows, None, "wrote {path}"
 
 
-def cmd_solve(cfg, spec, path, fmt, quiet):
+def cmd_solve(cfg, spec, fmt):
     lam = _finite(cfg.get("lambda", 0.0), "lambda")
-    bracket = cfg.get("bracket")
-    if (not isinstance(bracket, (list, tuple))) or len(bracket) != 2:
-        raise ConfigError("solve requires bracket: [lo, hi]")
+    bracket = _pair(cfg.get("bracket"), "bracket")
     n = _integer(cfg.get("profile_points", 257), "profile_points")
     if not 0 < n <= SCAN_POINTS:
         # an extended-precision profile costs about 0.24 ms per row
         raise ConfigError(f"profile_points must be in [1, {SCAN_POINTS}], got {n}")
-    res = solve_chi(spec, lam, tuple(_finite(v, "bracket") for v in bracket))
-    if fmt == "json":
-        payload = res.to_dict()
-        payload["x"] = spec.chi_to_x(res.chi)
-        write_json(path, payload)
-    else:
-        rows = profile_rows(spec, res.profile, TorusWeight(res.chi), res.lam, n)
-        write_csv(path, ["tau", "phi", "dphi", "s_mu"], rows)
-    if not quiet:
-        print(f"chi = {res.chi!r}, certified = {res.certified}")
-    return 0
-
-
-def cmd_path(cfg, spec, path, fmt, quiet):
-    grid = _monotone(cfg.get("lambda_grid", []), "lambda_grid")
-    bracket = cfg.get("seed_bracket")
-    if (not isinstance(bracket, (list, tuple))) or len(bracket) != 2:
-        raise ConfigError("path requires seed_bracket: [lo, hi]")
-    pts = trace(spec, grid, tuple(_finite(v, "seed_bracket") for v in bracket))
-    header = ["lambda", "chi", "a", "b", "c", "residual", "ode_sup_residual", "positive"]
+    res = solve_chi(spec, lam, bracket)
+    rows = None
     if fmt == "csv":
-        write_csv(path, header, [p.to_row() for p in pts])
-    else:
-        write_json(path, [dict(zip(header, p.to_row())) for p in pts])
-    if not quiet:
-        ok = sum(1 for p in pts if p.ok)
-        print(f"traced {ok}/{len(pts)} points -> {path}")
-    return 0
+        rows = profile_rows(spec, res.profile, TorusWeight(res.chi), res.lam, n)
+    payload = dict(res.to_dict(), x=spec.chi_to_x(res.chi))
+    return (["tau", "phi", "dphi", "s_mu"], rows, payload,
+            f"chi = {res.chi!r}, certified = {res.certified}")
 
 
-def cmd_energy(cfg, spec, path, fmt, quiet):
+def cmd_path(cfg, spec, fmt):
+    grid = _monotone(cfg.get("lambda_grid", []), "lambda_grid")
+    pts = trace(spec, grid, _pair(cfg.get("seed_bracket"), "seed_bracket"))
+    header = ["lambda", "chi", "a", "b", "c", "residual", "ode_sup_residual", "positive"]
+    ok = sum(1 for p in pts if p.ok)
+    return header, [p.to_row() for p in pts], None, f"traced {ok}/{len(pts)} points -> {{path}}"
+
+
+def cmd_energy(cfg, spec, fmt):
     from .energy import GeodesicPath, _path_energies, potential_from_profile
 
     if spec.kind != CP1:
@@ -194,11 +180,8 @@ def cmd_energy(cfg, spec, path, fmt, quiet):
     if kind == "fs":
         u1 = u0
     elif kind == "solve":
-        bracket = end.get("bracket")
-        if (not isinstance(bracket, (list, tuple))) or len(bracket) != 2:
-            raise ConfigError("endpoint.kind=solve requires bracket")
         res = solve_chi(spec, _finite(end.get("lambda", lam), "endpoint.lambda"),
-                        tuple(_finite(v, "endpoint.bracket") for v in bracket))
+                        _pair(end.get("bracket"), "endpoint.bracket"))
         u1 = potential_from_profile(res.profile, spec)
     elif kind == "perturbed":
         try:
@@ -211,71 +194,38 @@ def cmd_energy(cfg, spec, path, fmt, quiet):
     vals = _path_energies(spec, w, lam, GeodesicPath(u0, u1), t_grid)
     # the end rows have no second difference; zip drops the spare None of one point
     rows = [[t, v, s] for t, v, s in zip(t_grid, vals, [None, *np.diff(vals, 2), None])]
-    if fmt == "csv":
-        write_csv(path, ["t", "M_value", "second_difference"], rows)
-    else:
-        write_json(path, [
-            {"t": t, "M_value": v, "second_difference": s} for t, v, s in rows
-        ])
-    if not quiet:
-        print(f"wrote {path}")
-    return 0
+    return ["t", "M_value", "second_difference"], rows, None, "wrote {path}"
 
 
-def cmd_phase(cfg, spec, path, fmt, quiet):
-    grid = _monotone(cfg.get("lambda_grid", []), "lambda_grid")
-    pd = phase_diagram(spec, grid)
-    if fmt == "json":
-        write_json(path, pd.to_dict())
-    else:
-        rows = [
-            [lam, count, pd.transition_lambda]
-            for lam, count in zip(pd.lambda_grid, pd.critical_counts)
-        ]
-        write_csv(path, ["lambda", "critical_count", "transition_lambda"], rows)
-    if not quiet:
-        print(f"counts: {pd.critical_counts}, transition: {pd.transition_lambda}")
-    return 0
+def cmd_phase(cfg, spec, fmt):
+    pd = phase_diagram(spec, _monotone(cfg.get("lambda_grid", []), "lambda_grid"))
+    rows = [[lam, count, pd.transition_lambda]
+            for lam, count in zip(pd.lambda_grid, pd.critical_counts)]
+    return (["lambda", "critical_count", "transition_lambda"], rows, pd.to_dict(),
+            f"counts: {pd.critical_counts}, transition: {pd.transition_lambda}")
 
 
-def cmd_futaki(cfg, spec, path, fmt, quiet):
+def cmd_futaki(cfg, spec, fmt):
     lam = _finite(cfg.get("lambda", 0.0), "lambda")
     w = TorusWeight(_finite(cfg.get("chi", 0.0), "chi"))
     w_dir = TorusWeight(_finite(cfg.get("chi_dir", 1.0), "chi_dir"))
     ctx = FunctionalContext(spec)
-    rep = vol_report(ctx, w, lam)
-    payload = rep.to_dict()
-    payload["futaki_dir"] = d_mu_vol(ctx, w, lam, w_dir)
-    payload["chi"] = w.chi
-    payload["chi_dir"] = w_dir.chi
-    payload["x"] = spec.chi_to_x(w.chi)
+    payload = vol_report(ctx, w, lam).to_dict()
+    payload.update(futaki_dir=d_mu_vol(ctx, w, lam, w_dir), chi=w.chi, chi_dir=w_dir.chi,
+                   x=spec.chi_to_x(w.chi))
     payload["lambda"] = lam
-    if fmt == "json":
-        write_json(path, payload)
-    else:
-        keys = sorted(payload)
-        write_csv(path, keys, [[payload[k] for k in keys]])
-    if not quiet:
-        print(f"futaki = {payload['futaki_dir']!r}")
-    return 0
+    keys = sorted(payload)
+    return keys, [[payload[k] for k in keys]], payload, f"futaki = {payload['futaki_dir']!r}"
 
 
-_COMMAND_KEYS = {
-    "muvol": {"lambda", "chi_grid"},
-    "solve": {"lambda", "bracket", "profile_points"},
-    "path": {"lambda_grid", "seed_bracket"},
-    "energy": {"lambda", "chi", "t_grid", "endpoint"},
-    "phase": {"lambda_grid"},
-    "futaki": {"lambda", "chi", "chi_dir"},
-}
-
-_HANDLERS = {
-    "muvol": cmd_muvol,
-    "solve": cmd_solve,
-    "path": cmd_path,
-    "energy": cmd_energy,
-    "phase": cmd_phase,
-    "futaki": cmd_futaki,
+# name -> (handler, config keys besides surface and output)
+COMMANDS = {
+    "muvol": (cmd_muvol, {"lambda", "chi_grid"}),
+    "solve": (cmd_solve, {"lambda", "bracket", "profile_points"}),
+    "path": (cmd_path, {"lambda_grid", "seed_bracket"}),
+    "energy": (cmd_energy, {"lambda", "chi", "t_grid", "endpoint"}),
+    "phase": (cmd_phase, {"lambda_grid"}),
+    "futaki": (cmd_futaki, {"lambda", "chi", "chi_dir"}),
 }
 
 
@@ -295,7 +245,15 @@ def main(argv=None) -> int:
         cfg = load_config(args.config, args.command)
         spec = parse_surface(cfg["surface"])
         out_path, fmt = resolve_output(cfg, args)
-        return _HANDLERS[args.command](cfg, spec, out_path, fmt, args.quiet)
+        header, rows, payload, line = COMMANDS[args.command][0](cfg, spec, fmt)
+        if fmt == "csv":
+            write_csv(out_path, header, rows)
+        else:
+            write_json(out_path, [dict(zip(header, row)) for row in rows]
+                       if payload is None else payload)
+        if not args.quiet:
+            print(line.format(path=out_path))
+        return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

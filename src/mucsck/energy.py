@@ -65,7 +65,7 @@ class SymplecticPotential:
         return cls(float(m), Chebyshev([0.0], domain=[0.0, 2.0 * m]))
 
     @classmethod
-    def from_profile(cls, profile, m: float, deg: int = DEFAULT_DEG) -> "SymplecticPotential":
+    def from_profile(cls, profile, m: float) -> "SymplecticPotential":
         """Legendre-side potential of a positive, boundary-compatible profile."""
         m = float(m)
         width = 2.0 * m
@@ -79,7 +79,7 @@ class SymplecticPotential:
 
         # interpolation nodes stay interior, so the cancelled singularity is
         # never evaluated at the endpoints
-        smooth2 = Chebyshev.interpolate(h, deg, domain=[0.0, width])
+        smooth2 = Chebyshev.interpolate(h, DEFAULT_DEG, domain=[0.0, width])
         return cls(m, smooth2.integ(2, lbnd=m))
 
     def _parts(self, t, order):
@@ -133,8 +133,8 @@ class SymplecticPotential:
     def plus_smooth(self, extra: Chebyshev) -> "SymplecticPotential":
         return SymplecticPotential(self.m, self.smooth + extra)
 
-    def smooth_max_dslope(self, n: int = 257) -> float:
-        ts = np.linspace(0.0, 2.0 * self.m, n)
+    def smooth_max_dslope(self) -> float:
+        ts = np.linspace(0.0, 2.0 * self.m, 257)
         return float(np.max(np.abs(self._smooth_derivs[0](ts))))
 
 
@@ -149,18 +149,16 @@ class PotentialProfile:
         return 1.0 / self.potential.d2(t)
 
     def deriv(self, t):
-        u2, u3 = self.potential.d2(t), self.potential.d3(t)
-        return -u3 / u2 ** 2
+        return _phi_jet(self.potential.jet(t))[1]
 
     def deriv2(self, t):
-        u2, u3, u4 = self.potential.d2(t), self.potential.d3(t), self.potential.d4(t)
-        return -u4 / u2 ** 2 + 2.0 * u3 ** 2 / u2 ** 3
+        return _phi_jet(self.potential.jet(t))[2]
 
 
-def potential_from_profile(profile, spec: SurfaceSpec, deg: int = DEFAULT_DEG) -> SymplecticPotential:
+def potential_from_profile(profile, spec: SurfaceSpec) -> SymplecticPotential:
     if spec.kind != CP1:
         raise ValueError("symplectic-potential machinery is implemented on the line")
-    return SymplecticPotential.from_profile(profile, spec.m, deg)
+    return SymplecticPotential.from_profile(profile, spec.m)
 
 
 def profile_from_potential(potential: SymplecticPotential) -> PotentialProfile:
@@ -235,14 +233,14 @@ def vector_field_path(u0: SymplecticPotential, chi_dir: float) -> GeodesicPath:
 
 
 def _weight_data(spec: SurfaceSpec, w: TorusWeight):
+    """(nodes, q): the tau nodes and the weights of the weighted measure on
+    them, normalized to sum 1, so that q @ f is the weighted average of f."""
     if spec.kind != CP1:
         raise ValueError("energy functional is implemented on the line")
     meas = spec.measure
     nodes, wts = _panel_nodes(meas, TAU_PANELS)
-    dens = meas.density(nodes) * meas.scale
-    expw = np.exp(-w.chi * nodes)
-    mass_w = float(np.sum(dens * expw * wts))
-    return nodes, wts, dens, expw, mass_w
+    q = meas.density(nodes) * meas.scale * np.exp(-w.chi * nodes) * wts
+    return nodes, q / np.sum(q)
 
 
 def _phi_jet(u_jet, t=None):
@@ -260,12 +258,10 @@ def _phi_jet(u_jet, t=None):
 def _inner_product(spec, w, lam, phi_jet, vel_vals, grid):
     """<shat^lam(g_t), U-dot>_w / V_w at one path time t, from the phi-jet of
     g_t and the velocity values at the grid nodes."""
-    nodes, wts, dens, expw, mass_w = grid
+    nodes, q = grid
     s_lam, s_box = mu_curvatures(spec, w.chi, lam, nodes, phi_jet)
-    bary = float(np.sum(nodes * dens * expw * wts)) / mass_w
-    sbar_lam = float(np.sum(s_box * dens * expw * wts)) / mass_w + lam * w.chi * bary
-    shat = s_lam - sbar_lam
-    return float(np.sum(shat * vel_vals * dens * expw * wts)) / mass_w
+    sbar_lam = q @ s_box + lam * w.chi * (q @ nodes)
+    return float(q @ ((s_lam - sbar_lam) * vel_vals))
 
 
 def _t_integrals(rate, t_grid):
@@ -366,12 +362,11 @@ def relative_entropy(spec: SurfaceSpec, w: TorusWeight, u0, u1) -> float:
     coordinate, is e^{-chi (tau - tau_0(tau))} phi_1(tau) / phi_0(tau_0(tau))
     with tau_0 the composed moment map.
     """
-    nodes, wts, dens, expw, mass_w = _weight_data(spec, w)
+    nodes, q = _weight_data(spec, w)
     f1 = _phi_jet(u1.jet(nodes))[0]
     tau0 = compose_moment_maps(u1, u0, nodes)
     f0 = _phi_jet(u0.jet(tau0))[0]
-    log_ratio = -w.chi * (nodes - tau0) + np.log(f1 / f0)
-    return float(np.sum(log_ratio * dens * expw * wts)) / mass_w
+    return float(q @ (-w.chi * (nodes - tau0) + np.log(f1 / f0)))
 
 
 def muk_energy_chen_tian(spec: SurfaceSpec, w: TorusWeight, lam: float, u0, u1) -> float:
@@ -382,13 +377,11 @@ def muk_energy_chen_tian(spec: SurfaceSpec, w: TorusWeight, lam: float, u0, u1) 
     only reference-metric data composed through the moment maps.
     """
     chi = w.chi
-    grid = _weight_data(spec, w)
-    nodes, wts, dens, expw, mass_w = grid
+    nodes, q = _weight_data(spec, w)
 
-    f0_prof = PotentialProfile(u0)
     _, box0 = mu_curvatures(spec, chi, lam, nodes, _phi_jet(u0.jet(nodes)))
-    sbar0 = float(np.sum(box0 * dens * expw * wts)) / mass_w
-    theta_bar = -chi * (float(np.sum(nodes * dens * expw * wts)) / mass_w)
+    sbar0 = q @ box0
+    theta_bar = -chi * (q @ nodes)
 
     path = GeodesicPath(u0, u1)
     entropy = relative_entropy(spec, w, u0, u1)
@@ -396,28 +389,17 @@ def muk_energy_chen_tian(spec: SurfaceSpec, w: TorusWeight, lam: float, u0, u1) 
     def rate(t):
         pot = path.at(t)
         vel = path.velocity(t)
-        # two-form piece: base-momentum integral against the weight of g_t
+        # two-form piece: base-momentum integral against the weight of g_t;
+        # the line's density is 1, so that weight is q e^{-chi (tau_t - tau)}
         tau_t = compose_moment_maps(u0, pot, nodes)
-        phidot_on_base = -vel(tau_t)
-        two_form = float(np.sum(
-            phidot_on_base * np.exp(-chi * tau_t) * box0
-            * spec.measure.scale * wts
-        ))
+        two_form = q @ (-vel(tau_t) * np.exp(-chi * (tau_t - nodes)) * box0)
         # zero-form piece and the sbar/lam terms: g_t-momentum integrals
-        tau0_of = compose_moment_maps(pot, u0, nodes)
+        f0, f0p, _ = _phi_jet(u0.jet(compose_moment_maps(pot, u0, nodes)))
         phidot = -vel(nodes)
-        f0_at = np.asarray(f0_prof.value(tau0_of))
-        f0p_at = np.asarray(f0_prof.deriv(tau0_of))
-        zero_form = float(np.sum(
-            phidot * (chi * f0p_at - chi ** 2 * f0_at) * dens * expw * wts
-        ))
-        base_int = float(np.sum(phidot * dens * expw * wts))
-        theta_int = float(np.sum((-chi * nodes) * phidot * dens * expw * wts))
-        return (
-            -(two_form + zero_form) / mass_w
-            + sbar0 * base_int / mass_w
-            + lam * (theta_int - theta_bar * base_int) / mass_w
-        )
+        zero_form = q @ (phidot * (chi * f0p - chi ** 2 * f0))
+        base_int = q @ phidot
+        theta_int = q @ (-chi * nodes * phidot)
+        return -(two_form + zero_form) + sbar0 * base_int + lam * (theta_int - theta_bar * base_int)
 
     return entropy + float(_t_integrals(rate, [1.0])[0])
 
@@ -438,9 +420,11 @@ def geodesic_convexity(spec: SurfaceSpec, w: TorusWeight, lam: float, path, t_gr
     return list(np.diff(_path_energies(spec, w, lam, path, ts), 2))
 
 
-def geodesic_equation_residual(path, t: float, rho_grid, ht: float = 1e-3, hr: float = 1e-4):
-    """max |phi-double-dot - |dbar phi-dot|^2| over the rho grid, by finite
-    differences of the Legendre-transformed Kahler potentials."""
+def geodesic_equation_residual(path, t: float, rho_grid):
+    """max |phi-double-dot - |dbar phi-dot|^2| over the rho grid, by central
+    differences of the Legendre-transformed Kahler potentials with steps
+    1e-3 in t and 1e-4 in rho."""
+    ht, hr = 1e-3, 1e-4
 
     def kahler_potential(s, rho):
         pot = path.at(s)

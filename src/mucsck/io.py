@@ -1,10 +1,16 @@
-"""Deterministic emitters: RFC-4180 CSV with 17-significant-digit floats, JSON."""
+"""Deterministic emitters: RFC-4180 CSV with 17-significant-digit floats, JSON.
+
+Both refuse a non-finite float with a ValueError, and both build the whole
+output before they open the file, so a refused output leaves no file.
+"""
 
 from __future__ import annotations
 
 import csv
 import io
 import json
+import math
+from pathlib import Path
 
 import numpy as np
 
@@ -20,7 +26,10 @@ def fmt17(value) -> str:
         return str(int(value))
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    return format(float(value), ".17g")
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite output value {value!r}")
+    return format(value, ".17g")
 
 
 def csv_bytes(header, rows) -> bytes:
@@ -33,17 +42,15 @@ def csv_bytes(header, rows) -> bytes:
 
 
 def write_csv(path, header, rows):
-    with open(path, "wb") as fh:
-        fh.write(csv_bytes(header, rows))
+    Path(path).write_bytes(csv_bytes(header, rows))
 
 
 def json_bytes(payload) -> bytes:
-    return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8")
+    return (json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n").encode("utf-8")
 
 
 def write_json(path, payload):
-    with open(path, "wb") as fh:
-        fh.write(json_bytes(payload))
+    Path(path).write_bytes(json_bytes(payload))
 
 
 def profile_rows(spec, profile, w: TorusWeight, lam: float, n: int = 257):

@@ -135,7 +135,7 @@ def tau0_positivity(chi: float, lam: float):
 # -- tracing ---------------------------------------------------------------------------
 
 
-def _expand_bracket(spec: SurfaceSpec, lam: float, seed: float, max_iter: int = 60):
+def _expand_bracket(spec: SurfaceSpec, lam: float, seed: float):
     """Geometric expansion around the seed until the residual changes sign."""
     r_seed = residual(spec, lam, TorusWeight(seed))
     if abs(r_seed) <= SEED_ACCEPT:
@@ -143,7 +143,7 @@ def _expand_bracket(spec: SurfaceSpec, lam: float, seed: float, max_iter: int = 
     sign = np.sign(r_seed)
     lo = hi = seed  # nearest same-sign points flanking the seed
     d = max(0.05 * abs(seed), 1e-4)
-    for _ in range(max_iter):
+    for _ in range(60):
         cand = seed - d
         if np.sign(residual(spec, lam, TorusWeight(cand))) != sign:
             return (cand, lo)

@@ -25,6 +25,7 @@ evaluations follow them.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -420,7 +421,8 @@ def solve_at(spec: SurfaceSpec, lam: float, chi: float) -> SolveResult:
 def solve_chi(spec: SurfaceSpec, lam: float, bracket) -> SolveResult:
     """Brent root of the residual in chi over the given bracket."""
     lo, hi = float(bracket[0]), float(bracket[1])
-    f = lambda chi: residual(spec, lam, TorusWeight(chi))  # noqa: E731
+    # cached, so that brentq reuses the two end values computed here
+    f = functools.cache(lambda chi: residual(spec, lam, TorusWeight(chi)))
     flo, fhi = f(lo), f(hi)
     if flo == 0.0:
         root = lo
@@ -436,8 +438,8 @@ def solve_chi(spec: SurfaceSpec, lam: float, bracket) -> SolveResult:
     return solve_at(spec, lam, float(root))
 
 
-def flat_disk_limit_gap(spec: SurfaceSpec, chi: float, tau_hi: float = 1.8) -> float:
-    """sup over [0, tau_hi] of |phi^{lam(chi)}_chi - 2 tau| on the unit line.
+def flat_disk_limit_gap(spec: SurfaceSpec, chi: float) -> float:
+    """sup over [0, 1.8] of |phi^{lam(chi)}_chi - 2 tau| on the unit line.
 
     lam(chi) solves the shooting residual; the residual is affine in lam for
     fixed chi, so one secant step is exact.  The whole determination runs in
@@ -454,5 +456,5 @@ def flat_disk_limit_gap(spec: SurfaceSpec, chi: float, tau_hi: float = 1.8) -> f
                   for l in (0, 1))
         lam = -r0 / (r1 - r0)
         profile = _solve(spec, lam, chi, mpf(1))[1]
-    ts = np.linspace(0.0, tau_hi, 1001)
+    ts = np.linspace(0.0, 1.8, 1001)
     return float(np.max(np.abs(profile.value(ts) - 2.0 * ts)))

@@ -295,6 +295,19 @@ def test_numerical_value_error_exits_3(tmp_path, capsys, monkeypatch, exc):
     assert "numerical failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("endpoint", ["fs", "perturbed"])
+@pytest.mark.parametrize("m", [1e-300, 1e300])
+def test_non_finite_output_exits_3_without_a_file(tmp_path, capsys, m, endpoint, fmt):
+    # M(1) is NaN on these lines; CSV would show nan and JSON NaN, which is not JSON
+    cfg = {"surface": {"kind": "CP1", "m": m}, "t_grid": [0.0, 1.0],
+           "endpoint": {"kind": endpoint}}
+    code, out = run(tmp_path, "energy", cfg, fmt=fmt)
+    assert code == 3
+    assert "numerical failure" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, cfg", [
     ("muvol", {"surface": CP1, "lambda": 1.0, "chi_grid": [1e300]}),
     ("futaki", {"surface": CP1, "lambda": 1.0, "chi": 1e300}),
@@ -378,15 +391,37 @@ _ENDPOINTS = (
 )
 
 
-@settings(max_examples=60, deadline=None)
-@given(block=st.fixed_dictionaries({}, optional={
+# a key of a command block draws any JSON value, or most often a value of the
+# key's own shape, with moderate numbers common enough to reach the numerics;
+# grids hold at most four entries, so that path and solve stay cheap.
+# Energy's t_grid and endpoint keep their own strategies.
+_SCALARS = st.floats(-10.0, 10.0) | _NUMBERS
+_GRIDS = st.lists(_SCALARS, max_size=4).map(sorted) | _JSON_VALUES
+_BRACKETS = st.lists(_SCALARS, min_size=2, max_size=2).map(sorted) | _JSON_VALUES
+_KEY_VALUES = {
+    "chi_grid": _GRIDS,
+    "lambda_grid": _GRIDS,
+    "bracket": _BRACKETS,
+    "seed_bracket": _BRACKETS,
     "t_grid": st.lists(_NUMBERS, max_size=5) | _JSON_VALUES,
-    "chi": _NUMBERS | _JSON_VALUES,
-    "lambda": _NUMBERS | _JSON_VALUES,
     "endpoint": _ENDPOINTS,
-}))
-def test_energy_block_exits_with_a_code(tmp_path_factory, block):
-    # any JSON in the energy block ends as a result, a config error or a
+}
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_command_block_exits_with_a_code(tmp_path_factory, command):
+    # any JSON in a command's block ends as a result, a config error or a
     # numerical failure, never as a traceback
-    code, _ = run(tmp_path_factory.mktemp("energy"), "energy", dict(block, surface=CP1))
-    assert code in (0, 2, 3)
+    keys = sorted(cli.COMMANDS[command][1])
+    block = st.fixed_dictionaries(
+        {}, optional={key: _KEY_VALUES.get(key, _SCALARS | _JSON_VALUES) for key in keys})
+    # energy is implemented on the line only
+    surface = st.just(CP1) if command == "energy" else st.sampled_from([CP1, RULED])
+
+    @settings(max_examples=60, deadline=None)
+    @given(block=block, surface=surface)
+    def check(block, surface):
+        code, _ = run(tmp_path_factory.mktemp(command), command, dict(block, surface=surface))
+        assert code in (0, 2, 3)
+
+    check()

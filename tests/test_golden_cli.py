@@ -21,7 +21,11 @@ was unified, except:
   at most 4.7e-18); and again when the path energies came from the
   endpoints' jets on the tau nodes in place of a Chebyshev series rebuilt
   at every t-node (M moved by at most 2.8e-17, each move toward the
-  endpoint-entropy route, the second differences by at most 4.1e-18);
+  endpoint-entropy route, the second differences by at most 4.1e-18); and
+  again when the energy averages became one normalized weight vector q @ f
+  (M(0.25), M(0.5), M(0.75) and M(1) moved by -2.7e-19, -6.5e-19, -8.7e-19
+  and -7.6e-19, the second differences by at most 3.3e-19; the two energy
+  routes agree to 2.31e-16 on this config, 2.30e-16 before);
 * `phase_cp1.json`, rewritten when the phase layer moved onto the cached
   obstruction curve: the origin at lambda = 4 became "muvol_max" (the
   closed form mu_vol = 2/m - x^4 / (45 m) + O(x^6) has a maximum there) and
