@@ -9,36 +9,46 @@ metric positivity is phi > 0 on the open interval.  Three representations:
   phi = psi / (1 - k tau); covers both solver branches (chi=0 stores
   a = b = 0 and a cubic).  The coefficients stay in the arithmetic of the
   solve: floats, or mpfs where the float form cancels catastrophically
-  (small |chi|, large |chi|*width).  psi^(n) has one formula, evaluated
-  vectorised for floats and node by node in mpmath for mpfs.  For mpfs,
-  `psi_bound` also evaluates it in floats with a derived bound on the gap to
-  the mpmath value, so that a caller (the positivity certificate) needs
-  the node-by-node mpmath values only where that bound cannot decide.
+  (small |chi|, large |chi|*width).  Every float tau is evaluated
+  vectorised in floats: mpf coefficients are first rewritten, in the
+  solve's precision, as a Taylor polynomial or as an exponential anchored
+  at the end where it is largest, forms without the cancellation.  An mpf
+  tau is evaluated in mpmath in the working precision.
 * SampledProfile -- values and derivatives on a grid, spline-interpolated.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from mpmath import mp, mpf
-
-MP_DPS = 40
 
 
 def _as_array(tau):
     return np.asarray(tau, dtype=float)
 
 
-def poly_deriv(coeffs, t, n=0):
+def _poly_deriv(coeffs, t, n=0):
     """n-th derivative of sum_j c_j t^j at a scalar t, as a power sum.
 
-    The power sum (not Horner) fixes the rounding of the boundary rows and of
-    the mp node values.
+    The power sum (not Horner) fixes the rounding of the boundary rows.
     """
     return sum(math.perm(j, n) * c * t ** (j - n) for j, c in enumerate(coeffs) if j >= n)
+
+
+def _polyder(coeffs, n):
+    """`numpy.polynomial.polynomial.polyder(coeffs, n)` as a list, with its rounding.
+
+    Cheaper than numpy's call, which would cost more than a scalar psi value.
+    """
+    if n >= len(coeffs):
+        return [coeffs[0] * 0]
+    for _ in range(n):
+        coeffs = [j * c for j, c in enumerate(coeffs)][1:]
+    return coeffs
 
 
 @dataclass(frozen=True)
@@ -67,7 +77,9 @@ class ClosedFormProfile:
     """phi = [(a + b tau) e^{chi tau} + poly(tau)] / (1 - k tau).
 
     a, b and poly_coeffs are floats or mpfs, as the solve produced them; chi,
-    k, domain and lam are floats.
+    k, domain and lam are floats.  Mpf coefficients are turned into a float
+    form on construction, in the working precision, so build the profile
+    inside the solve's `mp.workdps`.
     """
 
     a: float
@@ -78,9 +90,75 @@ class ClosedFormProfile:
     domain: tuple
     lam: float = 0.0
 
+    def __post_init__(self):
+        object.__setattr__(self, "_form", self._float_form())
+
     @property
     def use_mp(self) -> bool:
         return isinstance(self.a, mpf)
+
+    def _float_form(self):
+        """(t0, jets, polys): psi^(n) = (f (A + B s) + g) e^{chi s} + polys[n](tau) in floats,
+        with s = tau - t0 and (f, A, B, g) = jets[n], for n = 0, 1, 2.
+
+        Float coefficients keep their formula and rounding: t0 = 0, jets[n] =
+        (chi^n, a, b, n b chi^{n-1}).  Mpf coefficients are converted in the
+        working precision, so the cancellations resolve before rounding: for
+        x = |chi| * width <= 2.5 into the Taylor polynomial of psi about 0
+        (`_taylor`, zero jets); otherwise, with t0 the end where chi tau is
+        largest (e^{chi s} <= 1), A = (a + b t0) e^{chi t0} and B = b e^{chi t0},
+        into jets[n] = (1, chi^n A + n chi^{n-1} B, chi^n B, 0).
+
+        mp is used only for |chi| < 1e-2 or x > 10, so below width 100 any
+        split in [1, 10] gives the same forms.  Wider surfaces reach x > 1 at
+        small |chi|; there (CP1 m = 100, Ruled m = 30) the exponential form
+        errs by 1.8e-14 of max|psi^(n)| at x = 2 and 7.8e-15 at 2.5, the
+        Taylor form by 6.8e-15 at 2.5 and 1.3e-14 at 3.
+        """
+        chi, (lo, hi) = self.chi, self.domain
+        t0, poly = 0.0, self.poly_coeffs
+        if not self.use_mp:
+            a, b = self.a, self.b
+            jets = [(chi ** n, a, b, n * b * chi ** (n - 1) if n else 0.0) for n in range(3)]
+        elif abs(chi) * (hi - lo) <= 2.5:
+            jets, poly = [(0.0, 0.0, 0.0, 0.0)] * 3, self._taylor()
+        else:
+            t0 = hi if chi > 0 else lo
+            x = mpf(chi)
+            e = mp.exp(x * t0)
+            a, b = (self.a + self.b * t0) * e, self.b * e
+            jets = [(1.0, float(x ** n * a + n * x ** (n - 1) * b), float(x ** n * b), 0.0)
+                    for n in range(3)]
+        c = [float(v) for v in poly]
+        return t0, jets, (c, _polyder(c, 1), _polyder(c, 2))
+
+    def _taylor(self):
+        """Taylor coefficients c_i = p_i + a e_i + b e_{i-1} of psi about 0 (mpfs).
+
+        e_i = chi^i / i!.  The domain holds 0, so |tau| <= W, the width; x =
+        |chi| W.  Past poly's degree |c_i| W^i <= T_i = (|a| |e_i| + |b|
+        |e_{i-1}|) W^i with T_{i+1} <= (x / i) T_i, so (i+1)^2 T_{i+1} <=
+        r_i i^2 T_i with r_i = ((i+1) / i)^2 x / i, falling with i.  Cut after N
+        with r_{N+1} <= 1/2, the n-th derivative (n <= 2) of the dropped terms
+        is at most W^-n 2 (N+1)^2 T_{N+1}; the cut is the first such N where
+        that is below 2^-60 of max_{i<=N} |c_i| W^i (the scale of W^n psi^(n)).
+        """
+        a, b, poly = self.a, self.b, self.poly_coeffs
+        chi = mpf(self.chi)
+        width = mpf(self.domain[1]) - self.domain[0]
+        x = abs(chi) * width
+        coeffs, scale = [], mpf(0)
+        prev, cur = mpf(0), mpf(1)  # e_{i-1}, e_i
+        for i in itertools.count():
+            c = a * cur + b * prev + (poly[i] if i < len(poly) else 0)
+            coeffs.append(c)
+            scale = max(scale, abs(c) * width ** i)
+            prev, cur = cur, cur * chi / (i + 1)
+            if i + 1 < len(poly) or 2 * (i + 2) ** 2 * x > (i + 1) ** 3:
+                continue
+            tail = 2 * (i + 1) ** 2 * (abs(a * cur) + abs(b * prev)) * width ** (i + 1)
+            if not tail > 2.0 ** -60 * scale:  # a NaN coefficient stops here too
+                return coeffs
 
     # -- psi = (1 - k tau) phi ------------------------------------------------
 
@@ -94,76 +172,27 @@ class ClosedFormProfile:
         return self._psi(tau, 2)
 
     def _psi(self, tau, n):
-        """n-th derivative of psi in the coefficients' arithmetic.
+        """n-th derivative of psi.
 
-        Float coefficients: vectorised over tau.  mpf coefficients: an mpf
-        tau is evaluated in the working precision and returned as an mpf;
-        any other tau node by node in MP_DPS digits, rounded to floats.
+        Float tau: vectorised over the float form.  An mpf tau with mpf
+        coefficients: `_psi_at`, in the working precision, as an mpf.
         """
-        if not self.use_mp:
-            return self._psi_at(_as_array(tau), n)
-        if isinstance(tau, mpf):
+        if self.use_mp and isinstance(tau, mpf):
             return self._psi_at(tau, n)
-        nodes = np.atleast_1d(_as_array(tau))
-        with mp.workdps(MP_DPS):
-            out = np.array([float(self._psi_at(mpf(t), n)) for t in nodes.ravel()])
-        return out.reshape(nodes.shape) if np.ndim(tau) else float(out[0])
+        t = _as_array(tau)
+        t0, jets, polys = self._form
+        f, a, b, g = jets[n]
+        s = t - t0
+        expo = f * (a + b * s) + g
+        return expo * np.exp(self.chi * s) + np.polynomial.polynomial.polyval(t, polys[n])
 
     def _psi_at(self, t, n):
-        a, b, chi = self.a, self.b, self.chi
-        if self.use_mp:
-            chi = mpf(chi)
-            e, poly = mp.exp(chi * t), poly_deriv(self.poly_coeffs, t, n)
-        else:
-            e = np.exp(chi * t)
-            poly = np.polynomial.polynomial.polyval(
-                t, np.polynomial.polynomial.polyder(self.poly_coeffs, n))
-        # d^n/dtau^n (a + b tau) e^{chi tau} = (chi^n (a + b tau) + n b chi^{n-1}) e^{chi tau}
+        """psi^(n) at the mpf t from the mpf coefficients, as in `_psi`."""
+        a, b, chi = self.a, self.b, mpf(self.chi)
         expo = chi ** n * (a + b * t)
         if n:
             expo = expo + n * b * chi ** (n - 1)
-        return expo * e + poly
-
-    def psi_bound(self, tau, n):
-        """(value, bound) of psi^(n) at the float nodes tau, for n = 0 or 2.
-
-        value is `_psi_at` evaluated in floats from the float-rounded
-        coefficients; bound B satisfies |value - float(psi^(n) in MP_DPS
-        digits)| <= B at every node.  An infinite or NaN value or bound
-        leaves the node undecided.
-
-        With u = 2^-53, every float operation and the rounding of each
-        coefficient err by at most u relative to the magnitude of the term
-        they feed, and M = |chi|^n (|a| + |b||tau|) e^{chi tau}
-        + n |b| |chi|^{n-1} e^{chi tau} + sum_j |c_j^(n)| |tau|^{j-n} bounds
-        the magnitude of every term.  The rounding of chi*tau perturbs the
-        exponential by u |chi tau| relative.  C = 32 covers the coefficient
-        roundings, `np.exp` (a few ulp), the at most ~15 operations of the
-        formula and the final rounding of the MP_DPS-digit value (u / 2
-        relative, its own error being ~1e-40 relative), so B = u (|chi tau|
-        + C) M.  The relative model fails only on underflow: a coefficient
-        that rounds below the normal range, or any underflowing operation,
-        makes every bound infinite.
-        """
-        t = _as_array(tau)
-        coeffs = (self.a, self.b, *self.poly_coeffs)
-        rounded = [float(c) for c in coeffs]
-        undecided = np.full(t.shape, np.nan), np.full(t.shape, np.inf)
-        if any(c != 0 and abs(x) < np.finfo(float).tiny for c, x in zip(coeffs, rounded)):
-            return undecided
-        a, b, *poly = rounded
-        chi = self.chi
-        with np.errstate(under="raise", over="ignore", invalid="ignore"):
-            try:
-                value = replace(self, a=a, b=b, poly_coeffs=tuple(poly))._psi_at(t, n)
-                size = abs(chi) ** n * (abs(a) + abs(b) * np.abs(t))
-                if n:
-                    size = size + n * abs(b) * abs(chi) ** (n - 1)
-                size = size * np.exp(chi * t) + np.polynomial.polynomial.polyval(
-                    np.abs(t), np.polynomial.polynomial.polyder(np.abs(poly), n))
-            except FloatingPointError:
-                return undecided
-        return value, 2.0 ** -53 * (np.abs(chi * t) + 32.0) * size
+        return expo * mp.exp(chi * t) + _poly_deriv(self.poly_coeffs, t, n)
 
     # -- phi ------------------------------------------------------------------
 

@@ -269,6 +269,14 @@ def test_infinite_integer_values_exit_2(tmp_path):
     assert code == 2
 
 
+def test_solve_bracket_too_wide_for_brentq_exits_3(tmp_path):
+    # bisecting [-1.8e28, 1] down to xtol takes more than brentq's 100 steps;
+    # found by test_command_block_exits_with_a_code, it used to raise RuntimeError
+    cfg = {"surface": CP1, "bracket": [-1.8299415294801867e+28, 1.0]}
+    code, out = run(tmp_path, "solve", cfg, fmt="json")
+    assert code == 3 and not out.exists()
+
+
 @pytest.mark.parametrize("command, cfg", [
     ("solve", {"surface": CP1, "lambda": "abc", "bracket": [0.1, 5.0]}),
     ("futaki", {"surface": CP1, "lambda": [1], "chi": 0.5}),

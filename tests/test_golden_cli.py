@@ -5,9 +5,9 @@ writes with `tests/golden/<name>.<format>`.  The cases cover every
 subcommand, and the solver on the float branch, on both extended-precision
 windows (|chi|*width > 10 at chi > 0 and chi < 0 on the line and on a ruled
 surface, and |chi| < 1e-2) and across the float -> mp switch along a path.
-The mp solves pin the positivity certificate's float screen: a minimum at
-the top end of the scan, a ruled surface's 1 - k tau != 1, and one and two
-inflections.
+The mp solves pin the float form of extended-precision profiles in the
+positivity certificate: a minimum at the top end of the scan, a ruled
+surface's 1 - k tau != 1, and one and two inflections.
 
 The golden files were written by the code before the closed-form profile
 was unified, except:
@@ -30,8 +30,18 @@ was unified, except:
   obstruction curve: the origin at lambda = 4 became "muvol_max" (the
   closed form mu_vol = 2/m - x^4 / (45 m) + O(x^6) has a maximum there) and
   transition_lambda moved from 4.0000305 to 4.0000003 (4/m = 4);
-* `solve_mp_wide_negative.json` and `solve_mp_wide_ruled.json`, written by
-  the code before the certificate screened mp profiles in floats.
+* the five extended-precision cases (`solve_mp_wide*.json`,
+  `solve_mp_small_chi.csv`, `path_float_to_mp.csv`), rewritten when those
+  profiles came to be evaluated in floats from a Taylor or anchored
+  exponential form instead of node by node in 40 digits (the 40-digit
+  values are the oracle): in the three wide solves min_phi moved by at most
+  1.35e-12 relative, the residual by at most 4.4e-16 and ode_sup_residual
+  by at most 2.9e-14 absolute, and the inflection points by at most 1 ulp;
+  the small-chi rows moved by at most 2.4e-15 relative; on the path the mp
+  row moved chi by 4e-16 relative and the two float rows, which carry the
+  float branch's 1e-8 residual noise, moved chi by 1.0e-8 and 9.7e-10
+  relative, each toward `lambda_of_chi_p2blowup` (|lambda(chi) - lambda|
+  5.2e-7 -> 9.0e-8, 4.6e-7 -> 4.1e-7, and 2.8e-14 -> 0 on the mp row).
 
 To rewrite some of them after an intended output change (which must be
 recorded with its size and oracle in CHANGES.md), name the cases; with no

@@ -3,12 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
+from scipy.optimize import brentq
 
 from mucsck.dh import TorusWeight
 from mucsck.errors import BracketError, ChiZeroBranchError, DomainError
-from mucsck.profiles import ClosedFormProfile, PolynomialProfile
+from mucsck.profiles import ClosedFormProfile, PolynomialProfile, _polyder
 from mucsck.solver import (
+    MP_DPS,
     SCAN_POINTS,
+    PositivityCertificate,
     _free_deriv,
     _needs_mp,
     _psi_parts,
@@ -17,6 +20,7 @@ from mucsck.solver import (
     chi_zero_branch,
     flat_disk_limit_gap,
     mu_scalar_curvature,
+    ode_sup_residual,
     positivity_certificate,
     residual,
     solve_at,
@@ -147,8 +151,8 @@ def test_basis_rejects_tiny_chi():
 
 
 def test_mp_profile_matches_float_twin():
-    # the one psi formula, evaluated node by node in mpmath and vectorised in
-    # float, agrees on the same coefficients up to their float rounding
+    # an mp profile (through its float form, and in mpmath at an mpf tau)
+    # agrees with the profile of its float-rounded coefficients
     lam, chi = 4.0, 1.3
     with mp.workdps(60):
         _, prof_mp = _solve(CP1, lam, chi, mpf(1))
@@ -166,6 +170,18 @@ def test_mp_profile_matches_float_twin():
         exact = _free_deriv(CP1, prof_mp, mpf(1))
     assert isinstance(exact, mpf)
     assert float(exact) == pytest.approx(ref, rel=1e-12)
+
+
+@settings(max_examples=50, deadline=None)
+@given(coeffs=st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=6),
+       n=st.sampled_from([1, 2]))
+def test_polyder_list_matches_numpy_bits(coeffs, n):
+    # the float form's derivative polynomials keep numpy's rounding, so float
+    # profiles evaluate bit for bit as with numpy's polyder
+    want = np.polynomial.polynomial.polyder(coeffs, n)
+    got = _polyder(coeffs, n)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+    assert np.array_equal(np.asarray(got), want)
 
 
 class _PhiOnly:
@@ -313,8 +329,6 @@ def test_ruled_existence_lam0_frozen_regression():
 
 
 def test_cp1_lam5_matches_bisection_oracle():
-    from scipy.optimize import brentq
-
     oracle = brentq(lambda c: cp1_lambda_equation(5.0, c), 0.1, 5.0, xtol=1e-13)
     res = solve_chi(CP1, 5.0, (0.1, 5.0))
     assert res.chi == pytest.approx(oracle, abs=1e-8)
@@ -383,7 +397,7 @@ def test_certificate_on_certified_solution_records_tau0():
     assert cert.tau0 == pytest.approx(-res.a / res.b - 3.0 / res.chi, rel=1e-12)
 
 
-# -- float screen of extended-precision profiles ---------------------------------------
+# -- float form of extended-precision profiles ---------------------------------------
 
 SCREEN_SURFACES = {
     "cp1": CP1,
@@ -399,6 +413,10 @@ def _width(spec):
     return spec.tau_hi - spec.tau_lo
 
 
+def _scan_nodes(spec):
+    return np.linspace(spec.tau_lo, spec.tau_hi, SCAN_POINTS)[1:-1]
+
+
 def _curve_lambda(spec, chi):
     # the residual is affine in lambda at fixed chi
     r0, r1 = (residual(spec, lam, TorusWeight(chi)) for lam in (0.0, 1.0))
@@ -408,6 +426,36 @@ def _curve_lambda(spec, chi):
 def _mp_profile(spec, lam, chi):
     assert _needs_mp(spec, chi)
     return _solve_with_profile(spec, lam, TorusWeight(chi))[1]
+
+
+def _mp_psi(prof, ts, n):
+    """psi^(n) node by node in the solve's MP_DPS digits, as floats.
+
+    40 digits are too few next to chi = 0: on Ruled(3, 2, 0.6) at chi = 1e-6
+    on the solution curve a = 2.4e26 cancels against poly, and a 40-digit
+    psi errs by 2.3e-14 of max|psi|.
+    """
+    f = (prof.psi_value, prof.psi_deriv, prof.psi_deriv2)[n]
+    with mp.workdps(MP_DPS):
+        return np.array([float(f(mpf(t))) for t in ts])
+
+
+def _mp_certificate(prof, spec):
+    """The scan certificate with psi and psi'' in MP_DPS digits at every node."""
+    ts = _scan_nodes(spec)
+    vals = _mp_psi(prof, ts, 0) / (1.0 - spec.k * ts)
+    i = int(np.argmin(vals))
+    d2 = _mp_psi(prof, ts, 2)
+    inflections, flagged = [], prof.b == 0.0
+    for j in np.nonzero(np.sign(d2[:-1]) * np.sign(d2[1:]) < 0)[0]:
+        try:
+            inflections.append(brentq(lambda t: _mp_psi(prof, [t], 2)[0], ts[j], ts[j + 1]))
+        except ValueError:
+            flagged = True
+    tau0 = None if prof.b == 0.0 else -float(prof.a) / float(prof.b) - 3.0 / prof.chi
+    return PositivityCertificate(float(vals[i]), float(ts[i]), tuple(inflections), tau0,
+                                 bool(vals[i] > 0.0), "scan" if tau0 is None else "analytic+scan",
+                                 flagged)
 
 
 def _screen_cases():
@@ -429,64 +477,57 @@ def _screen_cases():
        u=st.floats(0.0, 1.0, exclude_max=True),
        on_curve=st.booleans(),
        lam_off=st.floats(-20.0, 20.0))
-def test_psi_bound_holds_at_every_scan_node(name, wide, sign, u, on_curve, lam_off):
-    # the screened float value is within its bound of the rounded
-    # MP_DPS-digit value at every node of the certificate's scan that the
-    # screen decides (a non-finite value or bound leaves a node undecided)
+def test_float_form_matches_mp_at_every_scan_node(name, wide, sign, u, on_curve, lam_off):
+    # psi, psi' and psi'' of an mp profile evaluated in floats are within
+    # 1e-14 max|psi^(n)| of the MP_DPS-digit values at every node of the
+    # certificate's scan, in both mp windows
     spec = SCREEN_SURFACES[name]
     chi = sign * (10.5 + 9.5 * u) / _width(spec) if wide else sign * 10.0 ** (-6.0 + 4.0 * u)
     prof = _mp_profile(spec, _curve_lambda(spec, chi) if on_curve else lam_off, chi)
-    ts = np.linspace(spec.tau_lo, spec.tau_hi, SCAN_POINTS)[1:-1]
-    for n, exact in ((0, prof.psi_value), (2, prof.psi_deriv2)):
-        value, bound = prof.psi_bound(ts, n)
-        decided = np.isfinite(value) & np.isfinite(bound)
-        assert np.all(np.abs(value - exact(ts))[decided] <= bound[decided]), n
-
-
-def test_psi_bound_undecided_on_underflow():
-    # lambda = 4e-305 puts lambda/chi into the polynomial, and its product
-    # with tau = 2e-4 underflows: the relative error model no longer holds,
-    # so no node is decided
-    prof = _mp_profile(CP1, 4.0239883205089987e-305, 5.25)
-    value, bound = prof.psi_bound(np.array([2e-4, 1.0]), 0)
-    assert np.all(np.isnan(value)) and np.all(np.isinf(bound))
+    ts = _scan_nodes(spec)
+    for n, f in enumerate((prof.psi_value, prof.psi_deriv, prof.psi_deriv2)):
+        exact = _mp_psi(prof, ts, n)
+        assert np.max(np.abs(f(ts) - exact)) <= 1e-14 * np.max(np.abs(exact)), n
 
 
 @pytest.mark.parametrize("name, chi, lam", list(_screen_cases()))
-def test_screened_certificate_equals_full_scan(name, chi, lam, monkeypatch):
-    # infinite bounds leave every node undecided, which is the full
-    # MP_DPS-digit scan; the screen must give the same certificate, bit for bit
+def test_screened_certificate_equals_full_scan(name, chi, lam):
+    # the certificate of an mp profile, scanned in floats, against the scan in
+    # MP_DPS digits: the same verdict, argmin, tau0, method, flag and number of
+    # inflections; min_phi within 2e-12 relative (it can sit next to a zero
+    # end of phi) and each inflection within 1e-15
     spec = SCREEN_SURFACES[name]
     prof = _mp_profile(spec, _curve_lambda(spec, chi) if lam is None else lam, chi)
-    screened = positivity_certificate(prof, spec)
-    original = ClosedFormProfile.psi_bound
-
-    def unbounded(self, tau, n):
-        value, bound = original(self, tau, n)
-        return value, np.full_like(bound, np.inf)
-
-    monkeypatch.setattr(ClosedFormProfile, "psi_bound", unbounded)
-    assert repr(screened) == repr(positivity_certificate(prof, spec))
+    got, want = positivity_certificate(prof, spec), _mp_certificate(prof, spec)
+    assert ((got.verdict, got.argmin, got.tau0, got.method, got.flagged)
+            == (want.verdict, want.argmin, want.tau0, want.method, want.flagged))
+    assert got.min_phi == pytest.approx(want.min_phi, rel=2e-12, abs=0.0)
+    assert got.inflection_points == pytest.approx(want.inflection_points, rel=0.0, abs=1e-15)
     if lam is not None:
-        assert not screened.verdict
+        assert not got.verdict
 
 
-def test_certificate_evaluates_few_mp_nodes(monkeypatch):
-    # strong-band CP1(1) root: the screen decides all but a handful of the
-    # 2 x 9999 scan nodes (the brentq refinement of the inflection included)
-    res = solve_chi(CP1, 11.0, (5.2, 5.8))
-    assert res.profile.use_mp and res.certified
-    nodes = []
-    original = ClosedFormProfile._psi
+def test_certificate_and_ode_check_make_no_mp_evaluation(monkeypatch):
+    # a strong-band CP1(1) root and a P(O(1)+O) solve next to chi = 0, both
+    # with mp coefficients: the 2 x 9999 scan nodes, the inflection refinement
+    # and the 3 x 401 ODE nodes all go through the float form
+    p2 = SurfaceSpec.p2_blowup()
+    cases = ((CP1, solve_chi(CP1, 11.0, (5.2, 5.8))),
+             (p2, solve_at(p2, _curve_lambda(p2, -1e-4), -1e-4)))
+    mp_nodes = []
+    original = ClosedFormProfile._psi_at
 
-    def counting(self, tau, n):
-        if self.use_mp:
-            nodes.append(np.size(tau))
-        return original(self, tau, n)
+    def recording(self, t, n):
+        mp_nodes.append(t)
+        return original(self, t, n)
 
-    monkeypatch.setattr(ClosedFormProfile, "_psi", counting)
-    assert repr(positivity_certificate(res.profile, CP1)) == repr(res.positivity)
-    assert sum(nodes) <= 100
+    monkeypatch.setattr(ClosedFormProfile, "_psi_at", recording)
+    for spec, res in cases:
+        assert res.profile.use_mp and res.certified
+        w = TorusWeight(res.chi)
+        assert repr(positivity_certificate(res.profile, spec)) == repr(res.positivity)
+        assert ode_sup_residual(spec, res.profile, w, res.lam, res.c) == res.ode_sup_residual
+    assert mp_nodes == []
 
 
 # -- flat-disk limit -----------------------------------------------------------------
