@@ -24,7 +24,7 @@ import numpy as np
 
 from .dh import TorusWeight
 from .errors import ConfigError, MucsckError
-from .functionals import FunctionalContext, d_mu_vol, find_critical, mu_vol, vol_report
+from .functionals import FunctionalContext, d_mu_vol, find_critical, mu_vol_profile, vol_report
 from .io import profile_rows, write_csv, write_json
 from .path import phase_diagram, trace
 from .solver import SCAN_POINTS, solve_chi
@@ -129,11 +129,11 @@ def cmd_muvol(cfg, spec, fmt):
     lam = _finite(cfg.get("lambda", 0.0), "lambda")
     grid = _monotone(cfg.get("chi_grid", list(np.linspace(-3, 3, 61))), "chi_grid")
     ctx = FunctionalContext(spec)
-    rows = []
-    for kind, chis in (("sample", grid), ("critical", find_critical(ctx, lam))):
-        for chi in chis:
-            w = TorusWeight(chi)
-            rows.append([kind, chi, mu_vol(ctx, w, lam), d_mu_vol(ctx, w, lam, TorusWeight(1.0))])
+    crit = find_critical(ctx, lam)
+    chis = grid + crit
+    mu, dmu = mu_vol_profile(ctx, chis, lam)
+    kinds = ["sample"] * len(grid) + ["critical"] * len(crit)
+    rows = [list(row) for row in zip(kinds, chis, mu.tolist(), dmu.tolist())]
     return ["kind", "chi", "mu_vol", "d_mu_vol"], rows, None, "wrote {path}"
 
 

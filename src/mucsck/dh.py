@@ -21,6 +21,17 @@ of the test suite.  `_panel_nodes` is the one source of nodes and weights,
 also for the energy grid in `energy`.  `DHMeasure.rule` caches the rule's
 nodes, weights and density values, and every integral takes its integrand
 as values on those nodes or as a callable evaluated there once.
+
+The moment kernel `_end_moments` evaluates many weights at once.  Measured
+from the end where e^{-chi tau} peaks (tau_min for chi >= 0, tau_max for
+chi < 0), a node lies h (1 + x_j) past the edge e_p of its panel nearest
+that end (h the half panel width, x_j a Gauss node), so the weight factors
+as e^{-chi (tau - ref)} = e^{-|chi| |e_p - ref|} e^{-|chi| h (1 + x_j)}.
+Both exponents are <= 0, so no factor overflows for any finite chi, and a
+chi costs PANELS + GAUSS_NODES exponentials and one product with a stack of
+node columns cached by `_end_stacks`.  The columns are centred at the same
+end, so the moments are the shifted one-pass sums of Chan, Golub and
+LeVeque (Amer. Statist. 1983) and their differences lose no accuracy.
 """
 
 from __future__ import annotations
@@ -113,9 +124,13 @@ class DHMeasure:
         return DHMeasure(self.tau_min + c, self.tau_max + c, tuple(moved.coef), self.scale)
 
 
+def _edges(measure: DHMeasure, panels: int = PANELS):
+    return np.linspace(measure.tau_min, measure.tau_max, panels + 1)
+
+
 def _panel_nodes(measure: DHMeasure, panels: int = PANELS):
     """Nodes and weights of the composite Gauss-Legendre rule on the interval."""
-    edges = np.linspace(measure.tau_min, measure.tau_max, panels + 1)
+    edges = _edges(measure, panels)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
     nodes = mid[:, None] + half[:, None] * _GL_X[None, :]
@@ -141,6 +156,68 @@ def _shifted_weight(measure: DHMeasure, chi: float):
     over the interval; subtracting it keeps exponents <= 0."""
     shift = max(-chi * measure.tau_min, -chi * measure.tau_max)
     return np.exp(-chi * measure.rule[0] - shift), shift
+
+
+def _end_stacks(measure: DHMeasure, columns):
+    """The node columns of `columns(ref)`, laid out for `_end_moments`.
+
+    columns(ref) returns the columns' values on rule[0] for the moments
+    centred at ref; it is called for ref = tau_min and ref = tau_max.  Each
+    column is multiplied by scale * density * weight and checked finite (an
+    EvaluationError names the node), and the weight itself is prepended as
+    column 0.  Per end, the nodes are ordered from that end inward (the
+    tau_max stack reversed; the Gauss nodes are symmetric) into a (PANELS,
+    K * GAUSS_NODES) array, next to the distances from the end to each
+    panel's nearer edge.  Returns (node offsets h (1 + x_j), ((distances,
+    stack) at tau_min, (distances, stack) at tau_max)).
+    """
+    nodes, weights, dens = measure.rule
+    edges = _edges(measure)
+    ends = []
+    lo, hi = measure.tau_min, measure.tau_max
+    for ref, order, dist in ((lo, slice(None), edges[:-1] - lo),
+                             (hi, slice(None, None, -1), hi - edges[:0:-1])):
+        with np.errstate(all="ignore"):
+            g = measure.scale * dens * weights
+            cols = np.array([g] + [g * c for c in columns(ref)])
+        bad = ~np.all(np.isfinite(cols), axis=0)
+        if bad.any():
+            node = float(nodes[bad][0])
+            raise EvaluationError(f"integrand is not finite at tau={node}", node=node)
+        cols = cols[:, order].reshape(len(cols), PANELS, GAUSS_NODES).transpose(1, 0, 2)
+        ends.append((dist, np.ascontiguousarray(cols).reshape(PANELS, -1)))
+    return 0.5 * measure.width / PANELS * (1.0 + _GL_X), tuple(ends)
+
+
+def _end_moments(stacks, chis):
+    """(log-masses, averages) of the `_end_stacks` columns at every chi of `chis`.
+
+    For chi >= 0 the moments are centred at ref = tau_min, for chi < 0 at
+    ref = tau_max: the log-mass is log(scale int p e^{-chi (tau - ref)}),
+    so log_mass(measure, chi) = log-mass - chi ref, and row i of the averages
+    holds the weighted averages of the columns at chis[i] (without column 0).
+    A vanishing mass or a non-finite average raises EvaluationError naming chi.
+    """
+    offsets, ends = stacks
+    chis = np.asarray(chis, dtype=float)
+    sums = np.empty((len(chis), ends[0][1].shape[1] // GAUSS_NODES))
+    for (dist, stack), side in zip(ends, (chis >= 0.0, chis < 0.0)):
+        if not side.any():
+            continue
+        a = np.abs(chis[side])[:, None]
+        with np.errstate(over="ignore"):
+            panel, node = np.exp(-(a * dist)), np.exp(-(a * offsets))
+        by_node = (panel @ stack).reshape(len(a), -1, GAUSS_NODES)
+        sums[side] = np.einsum("nkg,ng->nk", by_node, node)
+    mass = sums[:, 0]
+    with np.errstate(all="ignore"):
+        avgs = sums[:, 1:] / mass[:, None]
+    bad = ~((mass > 0.0) & np.isfinite(mass) & np.isfinite(avgs).all(axis=1))
+    if bad.any():
+        chi = float(chis[bad][0])
+        raise EvaluationError(
+            f"the weighted mass vanishes or a moment is not finite at chi={chi!r}")
+    return np.log(mass), avgs
 
 
 def integrate_weighted(measure: DHMeasure, f, w: TorusWeight) -> float:

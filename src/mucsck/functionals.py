@@ -7,35 +7,50 @@ invariants (sbar, the obstruction functional, the log-volume) are computed
 from one explicit admissible reference profile; independence from that
 choice is a tested property, not an assumption.
 
-A FunctionalContext holds one node table: the reference profile's psi-jet
-and phi on the nodes of the measure's rule, evaluated once, and the
-unweighted statistics s_mean, tau_mean, cov(s, tau) and var(tau).  Every
-functional is a weighted average of arrays on those nodes, and the critical
-points at every lam are read off one cached curve F0 + lam F1.  The extremal-
-weight functional C(chi) = 1/4 avg0[(s - s_mean + chi (tau - tau_mean))^2 -
-(s - s_mean)^2] = chi cov / 2 + chi^2 var / 4 is quadratic in chi, so C, its
-minimizer -cov / var and the classical Futaki invariant -chi cov are closed
-forms in those statistics.
+The weighted curvature is quadratic in chi with tau-dependent
+coefficients, s^0 = A + chi B + chi^2 C, its Bakry-Emery part is
+A + chi B0, and s^lam adds lam chi tau; the splits are read off the
+curvature at chi = 0 and chi = +-1.  A FunctionalContext evaluates the
+reference profile's psi-jet on the nodes of the measure's rule once and
+caches, for each end of the interval as ref, one stack of node columns:
+the powers of u = tau - ref up to u^3, A, B0, B, C, (A, B, C) times u and
+u^2, and phi.  The moment kernel `dh._end_moments` returns their log-mass
+and weighted averages for a whole array of chi at once, and every
+functional is a closed expression in those moments: theta_bar, sbar,
+log_mass_shifted, log_vol, mu_vol, futaki, d_mu_vol, nu, lambda_xi,
+d2_mu_vol, stats0, lambda_inf, W_check, properness_slope, the obstruction
+curve F0 + lam F1 on SCAN_GRID and mu_vol_profile on any chi array.  The
+columns are centred near the weighted mean (u at the end where the weight
+peaks, A, B and C at their values there), which is the shifted one-pass
+formula of Chan, Golub and LeVeque, so a covariance such as avg(s tau) -
+avg(s) avg(tau) loses no leading digits.
+
+The extremal-weight functional C(chi) = 1/4 avg0[(s - s_mean + chi (tau -
+tau_mean))^2 - (s - s_mean)^2] = chi cov / 2 + chi^2 var / 4 is quadratic
+in chi, so C, its minimizer -cov / var and the classical Futaki invariant
+-chi cov are closed forms in the unweighted statistics stats0.
 
 Conventions:
 * the directional derivative of log Vol^lam along a direction with weight
   chi_dir is the obstruction functional evaluated on that direction;
 * mu_vol is the sign-flipped, (n! e^n)^lam-normalized variant whose critical
   points coincide with those of Vol^lam;
-* all exponentially weighted averages are shift-safe (max-subtraction), so
-  properness scans up to t = 200 stay finite.
+* all exponentially weighted averages are shift-safe (both factors of the
+  kernel's weight are at most 1), so properness scans up to t = 200 stay
+  finite; a weight whose mass underflows raises EvaluationError.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import asdict, dataclass
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import brentq
 
-from .dh import TorusWeight, barycenter, integrate_weighted, log_mass, variance, weighted_average
+from .dh import TorusWeight, _end_moments, _end_stacks
 from .errors import MucsckError
 from .solver import mu_curvatures, mu_scalar_curvature, psi_jet
 from .surfaces import SurfaceSpec
@@ -47,6 +62,16 @@ PROPERNESS_T_MAX = 200.0
 # scope inside this window
 _SCAN_MAGS = np.logspace(-3.0, math.log10(30.0), 180)
 SCAN_GRID = np.concatenate([-_SCAN_MAGS[::-1], [0.0], _SCAN_MAGS])
+
+
+# The kernel's moments at chi, centred at ref, the end where the weight
+# peaks (tau_min for chi >= 0, else tau_max): with u = tau - ref and A, B, C
+# minus their values at the node nearest ref (A's is a_end), log_mass is
+# log(scale int p e^{-chi u}) and t1, t2, t3, a, b0, b, c, at, bt, ct, at2,
+# bt2, ct2, phi are the weighted averages of u, u^2, u^3, A, B0, B, C, A u,
+# B u, C u, A u^2, B u^2, C u^2 and phi.
+_Moments = namedtuple("_Moments", "chi ref a_end shift log_mass t1 t2 t3 a b0 b c at bt ct "
+                                  "at2 bt2 ct2 phi")
 
 
 @dataclass(frozen=True)
@@ -71,55 +96,57 @@ class FunctionalContext:
         return psi_jet(self.spec, self.reference_profile, self.measure.rule[0])
 
     @cached_property
-    def phi(self):
-        """The reference profile on the rule's nodes."""
-        return np.asarray(self.reference_profile.value(self.measure.rule[0]), dtype=float)
+    def _stacks(self):
+        """(the `dh._end_stacks` of the module docstring's columns, A at the
+        node nearest each end)."""
+        t = self.measure.rule[0]
+        with np.errstate(all="ignore"):  # _end_stacks refuses a non-finite column
+            _, A = mu_curvatures(self.spec, 0.0, 0.0, t, self.jet)
+            s_plus, box_plus = mu_curvatures(self.spec, 1.0, 0.0, t, self.jet)
+            s_minus, _ = mu_curvatures(self.spec, -1.0, 0.0, t, self.jet)
+            B = 0.5 * (s_plus - s_minus)
+            C = 0.5 * (s_plus + s_minus) - A
+            B0 = box_plus - A
+            phi = self.jet[0] / (1.0 - self.spec.k * t)
 
-    def curvatures(self, chi: float, lam: float):
-        """(s^lam, s + box theta) of the reference metric on the rule's nodes."""
-        return mu_curvatures(self.spec, chi, lam, self.measure.rule[0], self.jet)
+        def columns(ref):
+            # shifted one-pass sums: tau, A, B and C each minus a value near
+            # the weighted mean, so a covariance cancels no leading digits
+            i = 0 if ref == self.measure.tau_min else -1
+            u, a, b, c = t - ref, A - A[i], B - B[i], C - C[i]
+            u2 = u * u
+            return u, u2, u2 * u, a, B0, b, c, a * u, b * u, c * u, a * u2, b * u2, c * u2, phi
+
+        return _end_stacks(self.measure, columns), A[[0, -1]]
+
+    def _moments(self, chis) -> _Moments:
+        """The moments at chis, a float or a 1-D array; the fields take its shape."""
+        c = np.atleast_1d(np.asarray(chis, dtype=float))
+        if not np.all(np.isfinite(c)):
+            raise ValueError(f"chi must be finite, got {c[~np.isfinite(c)][0]}")
+        stacks, a_ends = self._stacks
+        log_mass, avgs = _end_moments(stacks, c)
+        end = (c < 0.0).astype(int)
+        refs = np.array([self.measure.tau_min, self.measure.tau_max])[end]
+        fields = (c, refs, a_ends[end], log_mass, *avgs.T)
+        if np.ndim(chis) == 0:
+            fields = tuple(f[0] for f in fields)
+        return _Moments(*fields[:3], self.shift, *fields[3:])
+
+    @cached_property
+    def _origin(self) -> _Moments:
+        return self._moments(0.0)
 
     @cached_property
     def stats0(self):
         """Unweighted (s_mean, tau_mean, cov(s, tau), var(tau)) of the reference metric."""
-        t, s = self.measure.rule[0], self.curvatures(0.0, 0.0)[0]
-        avg0 = partial(weighted_average, self.measure, w=TorusWeight(0.0))
-        s_mean, tau_mean = avg0(s), avg0(t)
-        return s_mean, tau_mean, avg0((s - s_mean) * (t - tau_mean)), avg0((t - tau_mean) ** 2)
+        m = self._origin
+        return float(m.a_end + m.a), float(m.ref + m.t1), float(m.at - m.a * m.t1), float(_var(m))
 
     @cached_property
     def obstruction_curve(self):
-        """(F0, F1) on SCAN_GRID: F0 + lam F1 is d_mu_vol in the unit direction.
-
-        The weighted curvature is quadratic in chi with tau-dependent
-        coefficients, s^0 = A + chi B + chi^2 C, and its Bakry-Emery part is
-        A + chi B0; all are read off the curvature at chi = 0 and chi = +-1,
-        so each chi only contributes its exponential weight.  s^lam adds
-        lam chi tau, so the obstruction is affine in lam with slope
-        F1 = -chi var_chi(tau).
-        """
-        chis = SCAN_GRID
-        meas = self.measure
-        t, wts, dens = meas.rule
-        _, A = self.curvatures(0.0, 0.0)
-        s_plus, box_plus = self.curvatures(1.0, 0.0)
-        s_minus, _ = self.curvatures(-1.0, 0.0)
-        B = 0.5 * (s_plus - s_minus)
-        C = 0.5 * (s_plus + s_minus) - A
-        B0 = box_plus - A
-        shift = np.maximum(-chis * meas.tau_min, -chis * meas.tau_max)
-        wmat = np.exp(-chis[:, None] * t[None, :] - shift[:, None]) * (dens * wts)[None, :]
-        mass = wmat.sum(axis=1)
-
-        def avg(f_vals):
-            return (wmat @ f_vals) / mass
-
-        # -(avg(s^0 tau) - sbar^0 avg(tau)), the Futaki invariant at lam = 0
-        avg_t = avg(t)
-        s_tau = avg(A * t) + chis * avg(B * t) + chis ** 2 * avg(C * t)
-        f0 = -(s_tau - (avg(A) + chis * avg(B0)) * avg_t)
-        var = np.einsum("ij,ij->i", wmat, (t[None, :] - avg_t[:, None]) ** 2) / mass
-        return f0, -chis * var
+        """(F0, F1) on SCAN_GRID: F0 + lam F1 is d_mu_vol in the unit direction."""
+        return _obstruction(self._moments(SCAN_GRID))
 
     def with_profile(self, profile) -> "FunctionalContext":
         return FunctionalContext(self.spec, profile, self.shift)
@@ -141,6 +168,54 @@ class VolReport:
         return asdict(self)
 
 
+# -- the functionals as expressions in the moments ------------------------------------
+# Each takes a _Moments (of a float or an array of chi) and returns the same shape.
+
+
+def _var(m):
+    return m.t2 - m.t1 ** 2
+
+
+def _s_box(m):
+    """Weighted average of the Bakry-Emery curvature s + box theta."""
+    return m.a_end + m.a + m.chi * m.b0
+
+
+def _s0(m):
+    """Weighted average of the centred s^0 = A + chi B + chi^2 C."""
+    return m.a + m.chi * m.b + m.chi ** 2 * m.c
+
+
+def _obstruction(m):
+    """(F0, F1) with d_mu_vol = chi_dir (F0 + lam F1), the Futaki invariant
+    -cov(s^lam, tau): F0 = -cov(s^0, tau), F1 = -chi var(tau)."""
+    f0 = _s0(m) * m.t1 - (m.at + m.chi * m.bt + m.chi ** 2 * m.ct)
+    return f0, -m.chi * _var(m)
+
+
+def _theta_bar(m):
+    return -m.chi * (m.ref + m.t1) + m.shift
+
+
+def _sbar(m, lam):
+    return _s_box(m) - lam * _theta_bar(m)
+
+
+def _log_vol(m, lam):
+    # sbar + lam log_mass_shifted: the shift and ref cancel in closed form
+    return _s_box(m) + lam * (m.chi * m.t1 + m.log_mass)
+
+
+def _mu_vol(m, lam, n):
+    return -_log_vol(m, lam) + lam * (math.log(math.factorial(n)) + n)
+
+
+def _d_mu_vol_unit(ctx: FunctionalContext, chi: float, lam: float) -> float:
+    """d_mu_vol at one chi in the unit direction: the scalar that brentq refines."""
+    f0, f1 = _obstruction(ctx._moments(chi))
+    return float(f0 + lam * f1)
+
+
 # -- pointwise ingredients -------------------------------------------------
 
 
@@ -151,7 +226,7 @@ def scalar_curvature(ctx: FunctionalContext, tau):
 
 def theta_bar(ctx: FunctionalContext, w: TorusWeight) -> float:
     """Weighted mean of the Hamiltonian potential -chi tau + shift."""
-    return -w.chi * barycenter(ctx.measure, w) + ctx.shift
+    return float(_theta_bar(ctx._moments(w.chi)))
 
 
 # -- the volume functional ---------------------------------------------------
@@ -159,49 +234,48 @@ def theta_bar(ctx: FunctionalContext, w: TorusWeight) -> float:
 
 def sbar(ctx: FunctionalContext, w: TorusWeight, lam: float) -> float:
     """Weighted average of (s + box theta - lam theta); a class constant."""
-    return weighted_average(ctx.measure, ctx.curvatures(w.chi, lam)[1], w) - lam * theta_bar(ctx, w)
+    return float(_sbar(ctx._moments(w.chi), lam))
 
 
 def log_mass_shifted(ctx: FunctionalContext, w: TorusWeight) -> float:
-    return log_mass(ctx.measure, w) + ctx.shift
+    m = ctx._moments(w.chi)
+    return float(m.log_mass - m.chi * m.ref + m.shift)
 
 
 def log_vol(ctx: FunctionalContext, w: TorusWeight, lam: float) -> float:
-    return sbar(ctx, w, lam) + lam * log_mass_shifted(ctx, w)
+    return float(_log_vol(ctx._moments(w.chi), lam))
 
 
 def mu_vol(ctx: FunctionalContext, w: TorusWeight, lam: float) -> float:
     """-log(Vol^lam / (n! e^n)^lam); critical points mirror those of Vol^lam."""
-    n = ctx.spec.complex_dim
-    return -log_vol(ctx, w, lam) + lam * (math.log(math.factorial(n)) + n)
+    return float(_mu_vol(ctx._moments(w.chi), lam, ctx.spec.complex_dim))
+
+
+def mu_vol_profile(ctx: FunctionalContext, chis, lam: float):
+    """(mu_vol, d_mu_vol in the unit direction) at every chi of an array, in one pass."""
+    m = ctx._moments(np.asarray(chis, dtype=float).reshape(-1))
+    f0, f1 = _obstruction(m)
+    return _mu_vol(m, lam, ctx.spec.complex_dim), f0 + lam * f1
 
 
 # -- variations ----------------------------------------------------------------
 
 
-def _shat(ctx: FunctionalContext, w: TorusWeight, lam: float):
-    """Centered weighted curvature on the nodes (weighted mean zero).
-
-    The shift cancels identically between s^lam and its average, so the
-    centered values can be built from the raw (-chi tau) convention.
-    """
-    return ctx.curvatures(w.chi, lam)[0] - (sbar(ctx, w, lam) + lam * ctx.shift)
-
-
 def futaki(ctx: FunctionalContext, w_base: TorusWeight, w_dir: TorusWeight, lam: float) -> float:
-    """Obstruction functional: weighted average of shat * theta_dir."""
-    theta_dir = -w_dir.chi * ctx.measure.rule[0]
-    return weighted_average(ctx.measure, _shat(ctx, w_base, lam) * theta_dir, w_base)
+    """Obstruction functional: weighted average of shat * theta_dir, shat the
+    weighted curvature s^lam centred to weighted mean zero."""
+    return w_dir.chi * _d_mu_vol_unit(ctx, w_base.chi, lam)
 
 
 def nu(ctx: FunctionalContext, w_base: TorusWeight, w_dir: TorusWeight) -> float:
     """Weighted variance of theta_dir; positive for every nonzero direction."""
-    return w_dir.chi ** 2 * variance(ctx.measure, w_base)
+    var = _var(ctx._moments(w_base.chi))  # refuses an extreme chi before chi ** 2 overflows
+    return float(w_dir.chi ** 2 * var)
 
 
 def d_mu_vol(ctx: FunctionalContext, w: TorusWeight, lam: float, w_dir: TorusWeight) -> float:
     """Directional derivative of log Vol^lam (the obstruction functional)."""
-    return futaki(ctx, w, w_dir, lam)
+    return w_dir.chi * _d_mu_vol_unit(ctx, w.chi, lam)
 
 
 def d2_mu_vol(ctx: FunctionalContext, w: TorusWeight, lam: float, w_dir: TorusWeight) -> float:
@@ -211,22 +285,25 @@ def d2_mu_vol(ctx: FunctionalContext, w: TorusWeight, lam: float, w_dir: TorusWe
 
         avg(shat theta^2) + 2 avg(|dir|^2_g) - lam nu - 2 F(dir) avg(theta),
 
-    with |dir|^2_g = chi_dir^2 phi in momentum coordinates.
+    with |dir|^2_g = chi_dir^2 phi in momentum coordinates.  shat = s^lam -
+    avg(s^lam) has weighted mean zero, so the unit-direction entry is
+    avg(shat (u - avg u)^2) + 2 avg(phi) - lam var for u = tau - ref.
     """
-    chi_d = w_dir.chi
-    th = -chi_d * ctx.measure.rule[0]
-    term_shat = weighted_average(ctx.measure, _shat(ctx, w, lam) * th ** 2, w)
-    term_vec = 2.0 * chi_d ** 2 * weighted_average(ctx.measure, ctx.phi, w)
-    term_nu = lam * nu(ctx, w, w_dir)
-    term_cross = 2.0 * futaki(ctx, w, w_dir, lam) * weighted_average(ctx.measure, th, w)
-    return term_shat + term_vec - term_nu - term_cross
+    m = ctx._moments(w.chi)
+    f0, f1 = _obstruction(m)
+    shat_u = -(f0 + lam * f1)
+    shat_u2 = (m.at2 + m.chi * m.bt2 + m.chi ** 2 * m.ct2 - _s0(m) * m.t2
+               + lam * m.chi * (m.t3 - m.t1 * m.t2))
+    d2 = shat_u2 - 2.0 * shat_u * m.t1 + 2.0 * m.phi - lam * _var(m)
+    return float(w_dir.chi ** 2 * d2)
 
 
 def lambda_xi(ctx: FunctionalContext, w: TorusWeight) -> float:
     """The unique lam with vanishing self-obstruction at this weight."""
     if w.chi == 0.0:
         raise MucsckError("lambda_xi is undefined at the origin; use lambda_hat")
-    return futaki(ctx, w, w, 0.0) / nu(ctx, w, w)
+    m = ctx._moments(w.chi)
+    return float(_obstruction(m)[0] / (w.chi * _var(m)))
 
 
 # -- unweighted (chi = 0) statistics: closed forms in FunctionalContext.stats0 --------
@@ -257,7 +334,7 @@ def extremal_chi(ctx: FunctionalContext) -> float:
 def weight_norm(ctx: FunctionalContext, w: TorusWeight) -> float:
     """|xi| with |xi|^2 = int theta-hat^2 d(unweighted measure), theta-hat
     centered to zero unweighted mean."""
-    mass0 = integrate_weighted(ctx.measure, 1.0, TorusWeight(0.0))
+    mass0 = math.exp(ctx._origin.log_mass)
     return abs(w.chi) * math.sqrt(ctx.stats0[3] * mass0)
 
 
@@ -296,17 +373,16 @@ def find_critical(ctx: FunctionalContext, lam: float):
     """All roots of the log-volume chi-derivative in SCAN_GRID's window.
 
     The grid's zeros of the cached obstruction curve are roots; each of its
-    sign changes is refined by brentq on the scalar d_mu_vol.
+    sign changes is refined by brentq on the kernel's obstruction at one chi.
     """
-    unit = TorusWeight(1.0)
-    f = lambda chi: d_mu_vol(ctx, TorusWeight(chi), lam, unit)  # noqa: E731
     zeros, changes = critical_brackets(ctx, lam)
     roots = [float(SCAN_GRID[i]) for i in zeros]
+    f = lambda chi: _d_mu_vol_unit(ctx, chi, lam)  # noqa: E731
     roots += [float(brentq(f, SCAN_GRID[i], SCAN_GRID[i + 1], xtol=1e-12)) for i in changes]
     if not roots:
         # properness guarantees a minimizer; take the grid point where
         # log Vol is least
-        roots.append(float(min(SCAN_GRID, key=lambda c: log_vol(ctx, TorusWeight(c), lam))))
+        roots.append(float(SCAN_GRID[np.argmin(_log_vol(ctx._moments(SCAN_GRID), lam))]))
     roots = sorted(roots)
     out = []
     for rt in roots:
@@ -325,7 +401,8 @@ def properness_slope(ctx: FunctionalContext, w_dir: TorusWeight, lam: float, t_l
         raise ValueError("t_list must be strictly increasing")
     if t_arr and t_arr[-1] > PROPERNESS_T_MAX:
         raise ValueError(f"properness scan capped at t = {PROPERNESS_T_MAX}")
-    return [log_vol(ctx, w_dir.scaled(t), lam) / t for t in t_arr]
+    t = np.asarray(t_arr, dtype=float)
+    return (_log_vol(ctx._moments(w_dir.chi * t), lam) / t).tolist()
 
 
 def W_check(ctx: FunctionalContext, eta: TorusWeight, kappa: float) -> float:
@@ -336,13 +413,11 @@ def W_check(ctx: FunctionalContext, eta: TorusWeight, kappa: float) -> float:
     """
     if kappa == 0.0:
         return -2.0 * C_functional(ctx, eta)
-    s_mean = ctx.stats0[0]
-    w = eta.scaled(kappa)
-    s0 = sbar(ctx, w, 0.0)
-    tb = theta_bar(ctx, w)
-    lm = log_mass_shifted(ctx, w)
-    lm0 = log_mass_shifted(ctx, TorusWeight(0.0))
-    return (s0 - s_mean) / kappa - (tb - (lm - lm0)) / kappa ** 2
+    m, m0 = ctx._moments(eta.scaled(kappa).chi), ctx._origin
+    s0 = _sbar(m, 0.0)
+    # theta_bar - (log mass - log mass0), with ref cancelled in closed form
+    tb_lm = m.shift - m.chi * m.t1 - m.log_mass + m0.log_mass
+    return float((s0 - ctx.stats0[0]) / kappa - tb_lm / kappa ** 2)
 
 
 def lambda_inf(ctx: FunctionalContext) -> float:
@@ -352,19 +427,21 @@ def lambda_inf(ctx: FunctionalContext) -> float:
     obstruction to vanish (true on the line), in which case the value is
     normalization-independent.
     """
-    s_mean, _, _, var = ctx.stats0
-    t, s = ctx.measure.rule[0], ctx.curvatures(0.0, 0.0)[0]
-    avg0 = partial(weighted_average, ctx.measure, w=TorusWeight(0.0))
-    return (avg0((s - s_mean) * t ** 2) + 2.0 * avg0(ctx.phi)) / var
+    m = ctx._origin
+    _, _, cov, var = ctx.stats0
+    # avg0((s - s_mean) tau^2) with tau = ref + u
+    s_tau2 = m.at2 - m.a * m.t2 + 2.0 * m.ref * cov
+    return float((s_tau2 + 2.0 * m.phi) / var)
 
 
 def vol_report(ctx: FunctionalContext, w: TorusWeight, lam: float) -> VolReport:
-    lam_xi = lambda_xi(ctx, w) if w.chi != 0.0 else None
+    m = ctx._moments(w.chi)
+    f0, f1 = _obstruction(m)
     return VolReport(
-        log_vol=log_vol(ctx, w, lam),
-        sbar=sbar(ctx, w, lam),
-        theta_bar=theta_bar(ctx, w),
-        futaki_self=futaki(ctx, w, w, lam),
-        nu_self=nu(ctx, w, w),
-        lambda_xi=lam_xi,
+        log_vol=float(_log_vol(m, lam)),
+        sbar=float(_sbar(m, lam)),
+        theta_bar=float(_theta_bar(m)),
+        futaki_self=float(w.chi * (f0 + lam * f1)),
+        nu_self=float(w.chi ** 2 * _var(m)),
+        lambda_xi=float(f0 / (w.chi * _var(m))) if w.chi != 0.0 else None,
     )

@@ -18,7 +18,7 @@ from .dh import TorusWeight
 from .solver import mu_scalar_curvature
 
 
-def fmt17(value) -> str:
+def _fmt17(value) -> str:
     """Fixed 17-significant-digit decimal; lossless for 64-bit floats."""
     if value is None:
         return ""
@@ -37,7 +37,7 @@ def csv_bytes(header, rows) -> bytes:
     writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\r\n")
     writer.writerow(header)
     for row in rows:
-        writer.writerow([v if isinstance(v, str) else fmt17(v) for v in row])
+        writer.writerow([v if isinstance(v, str) else _fmt17(v) for v in row])
     return buf.getvalue().encode("utf-8")
 
 

@@ -90,3 +90,43 @@ def muvol_cp1_derivative(lam, chi, m=1.0):
     x = -m * chi
     sh, ch = np.sinh(x), np.cosh(x)
     return m * ((2.0 / m) * (x ** 2 - x * sh * ch) - lam * (x ** 2 - sh ** 2)) / (x * sh ** 2)
+
+
+def node_sum_functionals(ctx, chi, lam, dps=40):
+    """(futaki in the unit direction, nu in the unit direction, sbar) at chi.
+
+    Sums over the nodes of the context's rule in `dps` digits.  Only the
+    inputs are floats: the nodes, weights and density values, and the
+    reference profile's psi-jet there; the curvatures (the formula of
+    `solver.mu_curvatures`) and the weight e^{-chi tau} are taken in mpmath.
+    The Futaki invariant is the covariance -(avg(s^lam tau) - avg(s^lam)
+    avg(tau)), which does not depend on where tau is measured from.
+    """
+    from mpmath import exp, fsum, mp, mpf
+
+    from mucsck.surfaces import CP1
+
+    spec = ctx.spec
+    t, w, d = ctx.measure.rule
+    with mp.workdps(dps):
+        x, lam_, k = mpf(chi), mpf(lam), mpf(spec.k)
+        base = mpf(0) if spec.kind == CP1 else mpf(spec.l_g)
+        ts = [mpf(float(v)) for v in t]
+        jet = [[mpf(float(v)) for v in arr] for arr in ctx.jet]
+        s_lam, s_box = [], []
+        for tv, psi, dpsi, d2psi in zip(ts, *jet):
+            den = 1 - k * tv
+            s_lam.append(-(d2psi - 2 * x * dpsi + x ** 2 * psi) / den + x * lam_ * tv + base / den)
+            s_box.append((-d2psi + x * dpsi + base) / den)
+        wt = [mpf(float(a)) * mpf(float(b)) * exp(-x * tv) for a, b, tv in zip(w, d, ts)]
+        mass = fsum(wt)
+
+        def avg(vals):
+            return fsum(q * v for q, v in zip(wt, vals)) / mass
+
+        tau = avg(ts)
+        box = avg(s_box)
+        futaki = -(avg([v * tv for v, tv in zip(s_lam, ts)]) - avg(s_lam) * tau)
+        nu = avg([(tv - tau) ** 2 for tv in ts])
+        sbar = box + lam_ * x * tau - lam_ * mpf(ctx.shift)
+        return float(futaki), float(nu), float(sbar)

@@ -10,7 +10,7 @@ import mucsck.cli as cli
 from mucsck.cli import main
 from mucsck.dh import TorusWeight
 from mucsck.errors import ConfigError
-from mucsck.io import fmt17
+from mucsck.io import _fmt17
 from mucsck.surfaces import SurfaceSpec
 
 
@@ -203,7 +203,7 @@ def test_fmt17_roundtrip():
     import math
 
     for x in (math.pi, 1.0 / 3.0, 2.0 ** -52, -1.2345678901234567e300):
-        assert float(fmt17(x)) == x
+        assert float(_fmt17(x)) == x
 
 
 def test_missing_surface_exits_2(tmp_path):

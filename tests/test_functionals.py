@@ -20,6 +20,7 @@ from mucsck.functionals import (
     lambda_xi,
     log_vol,
     mu_vol,
+    mu_vol_profile,
     nu,
     properness_slope,
     sbar,
@@ -453,3 +454,163 @@ def test_lambda_hat_boundary_odd_in_ray():
     assert lambda_hat(RULED, -1, 0.0) == pytest.approx(
         -lambda_hat(RULED, +1, 0.0), rel=1e-12
     )
+
+
+# -- the moment kernel ------------------------------------------------------------------
+
+KERNEL_SPECS = {
+    "cp1": SurfaceSpec.cp1(1.0),
+    "cp1_2.5": SurfaceSpec.cp1(2.5),
+    "p2_blowup": SurfaceSpec.p2_blowup(),
+    "ruled_2_1_1.5": SurfaceSpec.ruled(2, 1, 1.5),
+    "ruled_3_0_0.5": SurfaceSpec.ruled(3, 0, 0.5),
+}
+
+
+def kernel_contexts(name):
+    spec = KERNEL_SPECS[name]
+    ctx = FunctionalContext(spec)
+    return {"plain": ctx, "shifted": ctx.with_shift(0.25),
+            "perturbed": ctx.with_profile(spec.perturbed_profile(0.05))}
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_SPECS))
+def test_kernel_moments_match_dh_helpers(name):
+    # |chi| * width up to 400, the end of the properness scan
+    from mucsck.dh import barycenter, log_mass, variance, weighted_average
+    from mucsck.functionals import _obstruction
+    from mucsck.solver import mu_curvatures
+
+    def rms(vals, w):
+        return math.sqrt(weighted_average(ctx.measure, vals ** 2, w))
+
+    for variant, ctx in kernel_contexts(name).items():
+        meas, t = ctx.measure, ctx.measure.rule[0]
+        _, A = mu_curvatures(ctx.spec, 0.0, 0.0, t, ctx.jet)
+        B0 = mu_curvatures(ctx.spec, 1.0, 0.0, t, ctx.jet)[1] - A
+        phi = ctx.reference_profile.value(t)
+        for xw in (0.0, 0.5, -0.5, 5.0, -5.0, 50.0, -50.0, 400.0, -400.0):
+            chi = xw / meas.width
+            w, m = TorusWeight(chi), ctx._moments(chi)
+            mean, var = barycenter(meas, w), variance(meas, w)
+            s0 = mu_curvatures(ctx.spec, chi, 0.0, t, ctx.jet)[0]
+            s0_hat = s0 - weighted_average(meas, s0, w)
+            pairs = [
+                (m.log_mass - chi * m.ref, log_mass(meas, w), max(1.0, abs(log_mass(meas, w)))),
+                (m.ref + m.t1, mean, math.sqrt(var + mean ** 2)),
+                (m.t2 - m.t1 ** 2, var, var),
+                (m.t3, weighted_average(meas, (t - m.ref) ** 3, w), rms((t - m.ref) ** 3, w)),
+                (m.a_end + m.a, weighted_average(meas, A, w), rms(A, w)),
+                (m.b0, weighted_average(meas, B0, w), rms(B0, w)),
+                (m.phi, weighted_average(meas, phi, w), rms(phi, w)),
+            ]
+            for i, (got, expected, scale) in enumerate(pairs):
+                assert abs(got - expected) <= 1e-13 * scale, (variant, xw, i, got, expected)
+            # the covariance of s^0 and tau; the reference's node values of
+            # s^0 = A + chi B + chi^2 C cancel at large |chi|
+            cov = weighted_average(meas, s0_hat * (t - mean), w)
+            assert abs(-_obstruction(m)[0] - cov) <= 1e-12 * rms(s0_hat, w) * math.sqrt(var), (
+                variant, xw)
+
+
+@pytest.mark.parametrize("spec", [SurfaceSpec.cp1(1.0), SurfaceSpec.ruled(2, 1, 1.5)],
+                         ids=["cp1", "ruled_2_1_1.5"])
+def test_kernel_functionals_match_40_digit_node_sums(spec):
+    from oracles import node_sum_functionals
+
+    ctx = FunctionalContext(spec)
+    unit = TorusWeight(1.0)
+    for xw in (0.5, 3.0, 10.0, 30.0, 60.0):
+        for sign in (1.0, -1.0):
+            w = TorusWeight(sign * xw / ctx.measure.width)
+            f_ref, nu_ref, sbar_ref = node_sum_functionals(ctx, w.chi, 2.0)
+            got = (futaki(ctx, w, unit, 2.0), nu(ctx, w, unit), sbar(ctx, w, 2.0))
+            for g, r in zip(got, (f_ref, nu_ref, sbar_ref)):
+                assert abs(g - r) <= 1e-14 * abs(r), (sign * xw, g, r)
+
+
+@pytest.mark.parametrize("spec", [SurfaceSpec.cp1(1.0), SurfaceSpec.ruled(2, 1, 1.5),
+                                  SurfaceSpec.p2_blowup()], ids=["cp1", "ruled", "p2_blowup"])
+def test_kernel_batched_rows_equal_single_calls(spec):
+    from mucsck.functionals import SCAN_GRID
+
+    ctx = FunctionalContext(spec)
+    batch = ctx._moments(SCAN_GRID)
+    for i, chi in enumerate(SCAN_GRID):
+        one = ctx._moments(chi)
+        assert abs(batch.log_mass[i] - one.log_mass) <= 1e-15 * max(1.0, abs(one.log_mass))
+        for field in ("t1", "t2", "t3", "phi"):
+            got, expected = getattr(batch, field)[i], getattr(one, field)
+            assert abs(got - expected) <= 1e-15 * abs(expected), (chi, field)
+
+
+def test_find_critical_reads_the_kernel_not_d_mu_vol(monkeypatch):
+    import mucsck.functionals as fn
+
+    calls = []
+    monkeypatch.setattr(fn, "d_mu_vol", lambda *a: calls.append(a) or 0.0)
+    roots = fn.find_critical(FunctionalContext(SurfaceSpec.cp1(1.0)), 5.0)
+    assert len(roots) == 3
+    assert calls == []
+
+
+def test_find_critical_fallback_is_the_least_log_vol_on_the_grid(monkeypatch):
+    # no zero and no sign change on the grid: the least log Vol^lam there,
+    # read from one array call of the kernel
+    import mucsck.functionals as fn
+
+    ctx = FunctionalContext(SurfaceSpec.ruled(2, 1, 1.5))
+    none = np.array([], dtype=int)
+    monkeypatch.setattr(fn, "critical_brackets", lambda ctx, lam: (none, none))
+    sizes = []
+    kernel = fn._end_moments
+    monkeypatch.setattr(fn, "_end_moments",
+                        lambda st, chis: sizes.append(len(chis)) or kernel(st, chis))
+    expected = min(fn.SCAN_GRID, key=lambda c: log_vol(ctx, TorusWeight(c), 2.0))
+    sizes.clear()
+    assert fn.find_critical(ctx, 2.0) == [expected]
+    assert sizes == [len(fn.SCAN_GRID)]
+
+
+def test_muvol_cli_rows_come_from_one_kernel_call(tmp_path, monkeypatch):
+    import mucsck.cli as cli
+    import mucsck.functionals as fn
+
+    sizes = []
+    kernel = fn._end_moments
+
+    def counting(stacks, chis):
+        sizes.append(len(chis))
+        return kernel(stacks, chis)
+
+    monkeypatch.setattr(fn, "_end_moments", counting)
+    for name in ("mu_vol", "d_mu_vol"):  # a scalar functional per row would fail
+        monkeypatch.setattr(cli, name, None, raising=False)
+    grid = list(np.linspace(-3.0, 3.0, 21))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"surface": {"kind": "CP1", "m": 1.0}, "lambda": 5.0,
+                               "chi_grid": grid}))
+    out = tmp_path / "out.csv"
+    assert cli.main(["muvol", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+    rows = len(out.read_text().splitlines()) - 1
+    assert rows == 21 + 3
+    # the cached obstruction curve, one call per brentq step, and one call for every row
+    assert sizes.count(rows) == 1
+    assert set(sizes) == {1, len(fn.SCAN_GRID), rows}
+
+
+@pytest.mark.parametrize("chi", [1e300, -1e300])
+def test_extreme_weights_fail_loudly(chi):
+    w, unit = TorusWeight(chi), TorusWeight(1.0)
+    for call in (lambda: log_vol(CP1, w, 2.0), lambda: futaki(CP1, w, unit, 2.0),
+                 lambda: nu(CP1, w, w), lambda: mu_vol_profile(CP1, [0.5, chi], 2.0)):
+        with pytest.raises(MucsckError, match="chi="):
+            call()
+
+
+@pytest.mark.parametrize("chi", [1e5, -1e5])
+def test_strong_finite_weights_stay_finite(chi):
+    w, unit = TorusWeight(chi), TorusWeight(1.0)
+    values = [log_vol(CP1, w, 2.0), futaki(CP1, w, unit, 2.0), nu(CP1, w, w),
+              *np.concatenate(mu_vol_profile(CP1, [0.5, chi], 2.0))]
+    assert all(math.isfinite(v) for v in values), values

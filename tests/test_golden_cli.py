@@ -29,7 +29,20 @@ was unified, except:
 * `phase_cp1.json`, rewritten when the phase layer moved onto the cached
   obstruction curve: the origin at lambda = 4 became "muvol_max" (the
   closed form mu_vol = 2/m - x^4 / (45 m) + O(x^6) has a maximum there) and
-  transition_lambda moved from 4.0000305 to 4.0000003 (4/m = 4);
+  transition_lambda moved from 4.0000305 to 4.0000003 (4/m = 4); and again
+  when the functionals became expressions in the moments of one kernel
+  (`dh._end_moments`): transition_lambda, the level at chi = 1e-3, moved
+  from 4.000000266667439 to 4.000000266666665 (closed form
+  4.0000002666666692), the two roots by 4.4e-15 (3.3e-15 relative, inside
+  brentq's xtol of 1e-12);
+* `muvol_cp1.csv` and `futaki_p2_blowup.json`, rewritten with the moment
+  kernel: in `muvol_cp1` 107 cells moved, by at most 9.9e-15 of
+  max(1, |v|), and the largest error against `muvol_cp1_closed_form` and
+  its chi-derivative fell from 1.0e-15 to 5.8e-16 (mu_vol) and from 9.2e-15
+  to 2.0e-15 (d_mu_vol); in `futaki_p2_blowup`, at a critical weight,
+  futaki_dir and futaki_self (about 1e-12) moved by 4.2e-16 and 2.3e-16
+  absolute (40-digit node sums: -9.750154e-13; error 9.4e-18 -> 4.3e-16),
+  lambda_xi by 4.0e-15 and nu_self by 4.7e-16 relative;
 * the five extended-precision cases (`solve_mp_wide*.json`,
   `solve_mp_small_chi.csv`, `path_float_to_mp.csv`), rewritten when those
   profiles came to be evaluated in floats from a Taylor or anchored
