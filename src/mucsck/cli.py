@@ -24,7 +24,7 @@ import numpy as np
 
 from .dh import TorusWeight
 from .errors import ConfigError, MucsckError
-from .functionals import FunctionalContext, d_mu_vol, find_critical, mu_vol_profile, vol_report
+from .functionals import FunctionalContext, find_critical, futaki_report, mu_vol_profile
 from .io import profile_rows, write_csv, write_json
 from .path import phase_diagram, trace
 from .solver import SCAN_POINTS, solve_chi
@@ -210,10 +210,9 @@ def cmd_futaki(cfg, spec, fmt):
     lam = _finite(cfg.get("lambda", 0.0), "lambda")
     w = TorusWeight(_finite(cfg.get("chi", 0.0), "chi"))
     w_dir = TorusWeight(_finite(cfg.get("chi_dir", 1.0), "chi_dir"))
-    ctx = FunctionalContext(spec)
-    payload = vol_report(ctx, w, lam).to_dict()
-    payload.update(futaki_dir=d_mu_vol(ctx, w, lam, w_dir), chi=w.chi, chi_dir=w_dir.chi,
-                   x=spec.chi_to_x(w.chi))
+    report, futaki_dir = futaki_report(FunctionalContext(spec), w, lam, w_dir)
+    payload = report.to_dict()
+    payload.update(futaki_dir=futaki_dir, chi=w.chi, chi_dir=w_dir.chi, x=spec.chi_to_x(w.chi))
     payload["lambda"] = lam
     keys = sorted(payload)
     return keys, [[payload[k] for k in keys]], payload, f"futaki = {payload['futaki_dir']!r}"

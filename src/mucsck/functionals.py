@@ -19,7 +19,9 @@ and weighted averages for a whole array of chi at once, and every
 functional is a closed expression in those moments: theta_bar, sbar,
 log_mass_shifted, log_vol, mu_vol, futaki, d_mu_vol, nu, lambda_xi,
 d2_mu_vol, stats0, lambda_inf, W_check, properness_slope, the obstruction
-curve F0 + lam F1 on SCAN_GRID and mu_vol_profile on any chi array.  The
+curve F0 + lam F1 on SCAN_GRID and mu_vol_profile on any chi array.  Its
+roots are the solver's (`obstruction_root`, used by `solver.solve_chi` and
+`path.trace`) and the critical points (`find_critical`).  The
 columns are centred near the weighted mean (u at the end where the weight
 peaks, A, B and C at their values there), which is the shifted one-pass
 formula of Chan, Golub and LeVeque, so a covariance such as avg(s tau) -
@@ -42,6 +44,7 @@ Conventions:
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import namedtuple
 from dataclasses import asdict, dataclass
@@ -51,8 +54,8 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .dh import TorusWeight, _end_moments, _end_stacks
-from .errors import MucsckError
-from .solver import mu_curvatures, mu_scalar_curvature, psi_jet
+from .errors import BracketError, MucsckError
+from .solver import CHI_ZERO_THRESHOLD, mu_curvatures, mu_scalar_curvature, psi_jet
 from .surfaces import SurfaceSpec
 
 PROPERNESS_T_MAX = 200.0
@@ -358,15 +361,41 @@ def lambda_hat(ctx: FunctionalContext, ray_sign: int, r: float) -> float:
 def critical_brackets(ctx: FunctionalContext, lam: float):
     """Where SCAN_GRID meets the critical points of log Vol^lam.
 
-    Returns the indices at which F0 + lam F1 vanishes (to 1e-11 of its
-    largest value) and the left ends i of the intervals [i, i + 1] on which
-    it changes sign between two nonzero values.
+    Returns the indices at which F = F0 + lam F1 vanishes (to 1e-11 of
+    |F0| + |lam F1|, the size of the terms it cancels) and the left ends i of
+    the intervals [i, i + 1] on which it changes sign between two nonzero
+    values.
     """
     f0, f1 = ctx.obstruction_curve
     vals = f0 + lam * f1
-    zero = np.abs(vals) <= 1e-11 * max(1.0, float(np.max(np.abs(vals))))
+    zero = np.abs(vals) <= 1e-11 * (np.abs(f0) + np.abs(lam * f1))
     change = (np.sign(vals[:-1]) * np.sign(vals[1:]) < 0) & ~zero[:-1] & ~zero[1:]
     return np.flatnonzero(zero), np.flatnonzero(change)
+
+
+def _brent(f, lo: float, hi: float, **tol) -> float:
+    """brentq on f over [lo, hi]; its stop after 100 steps is a BracketError."""
+    try:
+        return float(brentq(f, lo, hi, **tol))
+    except RuntimeError as exc:
+        raise BracketError(f"no root found on [{lo}, {hi}]: {exc}") from exc
+
+
+def obstruction_root(ctx: FunctionalContext, lam: float, bracket) -> float:
+    """The root of F = F0 + lam F1 in the bracket, to the resolution of chi.
+
+    F is d_mu_vol in the unit direction, chi var(tau) (lambda_xi - lam): its
+    nonzero roots are the solver's (see `solver`).  Raises BracketError unless
+    F changes sign on the bracket or vanishes at one of its ends.
+    """
+    lo, hi = float(bracket[0]), float(bracket[1])
+    # cached, so that brentq reuses the two end values read here
+    f = functools.cache(lambda chi: _d_mu_vol_unit(ctx, chi, lam))
+    if np.sign(f(lo)) * np.sign(f(hi)) > 0:
+        raise BracketError(f"the obstruction has no sign change on [{lo}, {hi}] "
+                           f"(F({lo})={f(lo):.3g}, F({hi})={f(hi):.3g})")
+    # xtol is one ulp's worth at the smallest chi the solver tells from 0
+    return _brent(f, lo, hi, xtol=CHI_ZERO_THRESHOLD * 2.0 ** -52, rtol=4.0 * 2.0 ** -52)
 
 
 def find_critical(ctx: FunctionalContext, lam: float):
@@ -377,8 +406,19 @@ def find_critical(ctx: FunctionalContext, lam: float):
     """
     zeros, changes = critical_brackets(ctx, lam)
     roots = [float(SCAN_GRID[i]) for i in zeros]
-    f = lambda chi: _d_mu_vol_unit(ctx, chi, lam)  # noqa: E731
-    roots += [float(brentq(f, SCAN_GRID[i], SCAN_GRID[i + 1], xtol=1e-12)) for i in changes]
+    if len(changes):
+        f0, f1 = ctx.obstruction_curve
+        ends = np.r_[changes, changes + 1]
+        row = dict(zip(SCAN_GRID[ends].tolist(), (f0[ends] + lam * f1[ends]).tolist()))
+
+        def f(chi):
+            # next to a zero a single-chi reading can round to the other sign
+            # than the batched row's at a grid point; the row's sign chose
+            # the bracket (it is nonzero there), so the row's value stands
+            val = _d_mu_vol_unit(ctx, chi, lam)
+            return row[chi] if chi in row and not val * row[chi] > 0.0 else val
+
+        roots += [_brent(f, SCAN_GRID[i], SCAN_GRID[i + 1], xtol=1e-12) for i in changes]
     if not roots:
         # properness guarantees a minimizer; take the grid point where
         # log Vol is least
@@ -435,9 +475,14 @@ def lambda_inf(ctx: FunctionalContext) -> float:
 
 
 def vol_report(ctx: FunctionalContext, w: TorusWeight, lam: float) -> VolReport:
+    return futaki_report(ctx, w, lam, w)[0]
+
+
+def futaki_report(ctx: FunctionalContext, w: TorusWeight, lam: float, w_dir: TorusWeight):
+    """(vol_report at w, d_mu_vol at w along w_dir), from one kernel call."""
     m = ctx._moments(w.chi)
     f0, f1 = _obstruction(m)
-    return VolReport(
+    report = VolReport(
         log_vol=float(_log_vol(m, lam)),
         sbar=float(_sbar(m, lam)),
         theta_bar=float(_theta_bar(m)),
@@ -445,3 +490,4 @@ def vol_report(ctx: FunctionalContext, w: TorusWeight, lam: float) -> VolReport:
         nu_self=float(w.chi ** 2 * _var(m)),
         lambda_xi=float(f0 / (w.chi * _var(m))) if w.chi != 0.0 else None,
     )
+    return report, w_dir.chi * float(f0 + lam * f1)

@@ -1,28 +1,31 @@
 """Continuity-path and phase-structure analysis.
 
-Traces lam -> chi(lam) families of solved metrics with warm starts, checks
-them against the closed-form lam(chi) relation on the one-point blow-up of
-the projective plane, estimates the uniqueness threshold lam_freeze, and
-classifies the critical-point structure of the volume profile.
+Traces lam -> chi(lam) families of solved metrics on the cached obstruction
+curve, certifies positivity on the one-point blow-up of the plane through
+the third-derivative root of the profile, estimates the uniqueness threshold
+lam_freeze, and classifies the critical-point structure of the volume
+profile.
 """
 
 from __future__ import annotations
 
 import bisect
-import math
 from dataclasses import dataclass
 
 import numpy as np
-from mpmath import mp, mpf
 
 from .dh import TorusWeight
-from .errors import BracketError, MucsckError, PoleError
-from .functionals import (SCAN_GRID, FunctionalContext, critical_brackets, extremal_chi,
-                          find_critical)
-from .solver import SolveResult, residual, solve_at, solve_chi, solve_coefficients
+from .errors import BracketError, EvaluationError, MucsckError
+from .functionals import (SCAN_GRID, FunctionalContext, _d_mu_vol_unit, critical_brackets,
+                          extremal_chi, find_critical, obstruction_root)
+from .solver import SolveResult, _solve_root, solve_coefficients
+from .solver import residual  # noqa: F401  bench/test_bench.py wraps it in this namespace
 from .surfaces import SurfaceSpec
 
-SEED_ACCEPT = 1e-12
+# a root the cached curve cannot bracket is sought at prev * 2 ** +-k,
+# k = 1 .. GROW_STEPS, for the previous root prev; the kernel reads F's sign
+# right up to |chi| * width of about 1e5, not at 5e5
+GROW_STEPS = 10
 
 
 class WindowExhaustedError(MucsckError):
@@ -68,52 +71,7 @@ class PhaseDiagram:
         }
 
 
-# -- closed form on the blow-up of the plane ------------------------------------------
-
-
-def lambda_of_chi_p2blowup(chi: float) -> float:
-    """lam(chi) for the blow-up of the plane in the class 2 pi (F + 2B).
-
-    Rational-exponential closed form, evaluated in 40-digit arithmetic for
-    every chi: numerator and denominator cancel to high order near chi = 0,
-    and in double precision the cancellation still costs about 1e-8
-    relative at |chi| = 0.05.  A scan of [-60, 0) finds no sign change of
-    the denominator; only an exact zero raises PoleError.
-    """
-    if not chi < 0.0:
-        raise ValueError(f"the closed form is stated for chi < 0, got {chi}")
-    with mp.workdps(40):
-        x = mpf(chi)
-        e2, em2 = mp.exp(2 * x), mp.exp(-2 * x)
-        num = (9 * x ** 2 - 6 * x - 2) * e2 + (-x ** 2 + 2 * x - 2) * em2 + (
-            -12 * x ** 3 + 16 * x ** 2 + 4 * x + 4
-        )
-        den = (9 * x ** 2 - 12 * x + 2) * e2 + (x ** 2 - 4 * x + 2) * em2 + (
-            -12 * x ** 4 + 16 * x ** 3 - 2 * x ** 2 + 16 * x - 4
-        )
-        if den == 0:
-            raise PoleError(f"lambda(chi) denominator vanishes at chi={chi}")
-        return float(x * num / den)
-
-
-def tau0_sign_polynomials(chi: float):
-    """(alpha, beta, gamma, delta) with a/b + 3/chi = (alpha + lam beta) /
-    (chi (gamma + lam delta)) on the blow-up of the plane.
-
-    Both numerator and denominator are affine in lam because the solved
-    coefficients are; the four pieces here were derived symbolically from
-    the coefficient closed forms.
-    """
-    e = math.exp(-2.0 * chi)
-    alpha = (-2 * chi ** 4 + chi ** 3 + 2 * chi ** 2 - 6 * chi) * e + (
-        9 * chi ** 3 - 14 * chi ** 2 + 6 * chi
-    )
-    beta = (-2 * chi ** 3 + 5 * chi ** 2 + 8 * chi - 6) * e + (
-        -12 * chi ** 3 + 23 * chi ** 2 - 20 * chi + 6
-    )
-    gamma = (-chi ** 3 + 2 * chi ** 2 - 2 * chi) * e + (3 * chi ** 3 - 6 * chi ** 2 + 2 * chi)
-    delta = (-chi ** 2 + 4 * chi - 2) * e + (-6 * chi ** 3 + 13 * chi ** 2 - 8 * chi + 2)
-    return alpha, beta, gamma, delta
+# -- positivity on the blow-up of the plane ------------------------------------------
 
 
 def tau0_positivity(chi: float, lam: float):
@@ -135,52 +93,71 @@ def tau0_positivity(chi: float, lam: float):
 # -- tracing ---------------------------------------------------------------------------
 
 
-def _expand_bracket(spec: SurfaceSpec, lam: float, seed: float):
-    """Geometric expansion around the seed until the residual changes sign."""
-    r_seed = residual(spec, lam, TorusWeight(seed))
-    if abs(r_seed) <= SEED_ACCEPT:
-        return (seed, seed)
-    sign = np.sign(r_seed)
-    lo = hi = seed  # nearest same-sign points flanking the seed
-    d = max(0.05 * abs(seed), 1e-4)
-    for _ in range(60):
-        cand = seed - d
-        if np.sign(residual(spec, lam, TorusWeight(cand))) != sign:
-            return (cand, lo)
-        lo = cand
-        cand = seed + d
-        if np.sign(residual(spec, lam, TorusWeight(cand))) != sign:
-            return (hi, cand)
-        hi = cand
-        d *= 1.7
-    raise BracketError(f"no sign change around seed chi={seed} at lam={lam}")
+def _grown_bracket(ctx: FunctionalContext, lam: float, prev: float):
+    """A sign change of F among prev * 2 ** +-k, nearest prev on its side of 0."""
+    f = lambda chi: _d_mu_vol_unit(ctx, chi, lam)  # noqa: E731
+    sign = np.sign(f(prev))
+    for k in range(1, GROW_STEPS + 1):
+        for near, far in ((prev * 2.0 ** (k - 1), prev * 2.0 ** k),
+                          (prev * 2.0 ** (1 - k), prev * 2.0 ** -k)):
+            try:
+                if np.sign(f(far)) != sign:
+                    return tuple(sorted((near, far)))
+            except EvaluationError:  # the weight's mass underflows this far out
+                pass
+    raise BracketError(f"no sign change of the obstruction around chi={prev} at lam={lam}")
+
+
+def _branch_root(ctx: FunctionalContext, lam: float, prev: float) -> float:
+    """The root of F = F0 + lam F1 continuous with the previous root prev.
+
+    The nonzero root nearest prev among the cached curve's brackets; when the
+    curve has none (a root past |chi| = 30, or inside 1e-3 on the line just
+    above 4/m), a bracket grown from prev; when that fails too, the trivial
+    root chi = 0 of the line, where the branch merges onto the
+    constant-curvature solution.
+    """
+    zeros, changes = critical_brackets(ctx, lam)
+    brackets = [(g, g) for g in SCAN_GRID[zeros] if g != 0.0]
+    brackets += [(SCAN_GRID[i], SCAN_GRID[i + 1]) for i in changes]
+    if brackets:
+        lo, hi = min(brackets, key=lambda b: max(b[0] - prev, prev - b[1]))
+        return float(lo) if lo == hi else obstruction_root(ctx, lam, (lo, hi))
+    if prev != 0.0:
+        try:
+            return obstruction_root(ctx, lam, _grown_bracket(ctx, lam, prev))
+        except BracketError:
+            pass
+    if 0.0 in SCAN_GRID[zeros]:
+        return 0.0
+    raise BracketError(f"no root of the obstruction continuous with chi={prev} at lam={lam}")
 
 
 def trace(spec: SurfaceSpec, lambda_grid, seed_bracket) -> list:
-    """Continuation over the lambda grid, warm-starting from the last root.
+    """Continuation over the lambda grid on the cached obstruction curve.
 
-    Per-point failures are recorded as gap points, not raised; when several
-    roots coexist the traced branch is the one continuous with the warm
-    start (all roots at a given lam are the nonzero roots of find_critical).
+    Each point is the root of F = F0 + lam F1 (`functionals.obstruction_root`)
+    and one boundary solve there, as in `solver.solve_chi`: on seed_bracket
+    until a point is solved, then continuous with the last solved chi
+    (`_branch_root`).  One FunctionalContext serves the whole grid.
+    Per-point failures are recorded as gap points, not raised.
     """
     grid = list(lambda_grid)
     diffs = [b - a for a, b in zip(grid, grid[1:])]
     if diffs and not (all(d > 0 for d in diffs) or all(d < 0 for d in diffs)):
         raise ValueError("lambda_grid must be monotone")
+    ctx = FunctionalContext(spec)
     points = []
-    seed = None
-    for i, lam in enumerate(grid):
+    prev = None
+    for lam in grid:
         try:
-            if i == 0 or seed is None:
-                res = solve_chi(spec, lam, seed_bracket)
+            if prev is None:
+                chi = obstruction_root(ctx, lam, seed_bracket)
             else:
-                lo, hi = _expand_bracket(spec, lam, seed)
-                if lo == hi:
-                    res = solve_at(spec, lam, lo)
-                else:
-                    res = solve_chi(spec, lam, (lo, hi))
+                chi = _branch_root(ctx, lam, prev)
+            res = _solve_root(spec, lam, chi)
             points.append(PathPoint(lam, res.chi, res))
-            seed = res.chi
+            prev = res.chi
         except MucsckError:
             points.append(PathPoint(lam, None, None))
     return points

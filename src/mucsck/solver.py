@@ -22,20 +22,40 @@ helper takes the arithmetic from a `one` argument (1.0 or mpf(1)); the
 solved ClosedFormProfile keeps its coefficients in that arithmetic.  It
 evaluates a float tau in floats (mp coefficients through a float form
 converted in MP_DPS digits) and an mpf tau in mpmath.
+
+Roots: the residual r and the obstruction F = F0 + lam F1 of `functionals`
+(d_mu_vol in the unit direction) are both affine in lam,
+
+    F = chi var(tau) (lambda_xi(chi) - lam),    r = (r1 - r0) (lam - lambda_xi(chi)),
+
+with r1 - r0 the residual's lam-slope, so they vanish together for chi != 0
+and their signs differ by sign(chi) sign(r1 - r0).  `solve_chi` finds the
+root on F, which the moment kernel reads in about 0.07 ms without
+cancellation near chi = 0, and makes one boundary solve there.  A root is
+certified when |r| <= the tolerance it met, kept as SolveResult.residual_tol:
+
+* RESIDUAL_TOL when the residual meets it;
+* otherwise a root solved in floats is solved again in MP_DPS digits (the
+  1/chi^3 terms of the particular part cost the float residual about 1e-9
+  near |chi| = 1e-2), and that result is reported;
+* if it still misses, r cannot resolve a float chi: r moves by |dr/dchi|
+  |chi| eps per ulp of chi (eps = 2^-52).  The slope comes from one more
+  solve at a relative step SLOPE_STEP, one secant step moves chi onto the
+  zero of r (F is exact to a few ulps only), and the tolerance is
+  max(RESIDUAL_TOL, RESOLUTION_ULPS |dr/dchi| |chi| eps).
 """
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from mpmath import mp, mpf
 from scipy.optimize import brentq
 
 from .dh import TorusWeight
-from .errors import BracketError, ChiZeroBranchError, DegenerateParameterError, DomainError
+from .errors import ChiZeroBranchError, DegenerateParameterError, DomainError
 from .profiles import ClosedFormProfile, _poly_deriv
 from .surfaces import CP1, SurfaceSpec
 
@@ -45,6 +65,8 @@ CHI_WIDTH_MP = 10.0
 MP_DPS = 60
 
 RESIDUAL_TOL = 1e-10
+RESOLUTION_ULPS = 2.0
+SLOPE_STEP = 1e-7
 ODE_RESIDUAL_TOL = 1e-8
 SCAN_POINTS = 10001
 ODE_GRID = 401
@@ -109,11 +131,12 @@ class SolveResult:
     ode_sup_residual: float
     positivity: PositivityCertificate
     profile: ClosedFormProfile
+    residual_tol: float = RESIDUAL_TOL  # the tolerance |residual| is held to (module docstring)
 
     @property
     def certified(self) -> bool:
         return (
-            abs(self.residual) <= RESIDUAL_TOL
+            abs(self.residual) <= self.residual_tol
             and self.ode_sup_residual <= ODE_RESIDUAL_TOL
             and self.positivity.verdict
         )
@@ -214,13 +237,14 @@ def solve_coefficients(spec: SurfaceSpec, lam: float, w: TorusWeight):
     return float(profile.a), float(profile.b), c
 
 
-def _solve_with_profile(spec: SurfaceSpec, lam: float, w: TorusWeight):
+def _solve_with_profile(spec: SurfaceSpec, lam: float, w: TorusWeight, extended=False):
+    """(c, profile), in MP_DPS digits if `extended` or if chi needs them."""
     chi = float(w.chi)
     if abs(chi) < CHI_ZERO_THRESHOLD:
         raise ChiZeroBranchError(
             f"|chi|={abs(chi):g} is below {CHI_ZERO_THRESHOLD:g}; use chi_zero_branch"
         )
-    if _needs_mp(spec, chi):
+    if extended or _needs_mp(spec, chi):
         with mp.workdps(MP_DPS):
             return _solve(spec, lam, chi, mpf(1))
     return _solve(spec, lam, chi, 1.0)
@@ -251,8 +275,8 @@ def _free_deriv(spec: SurfaceSpec, profile: ClosedFormProfile, one):
 
     With one = 1.0 the psi values are floats (from the float form for an mp
     profile); with one = mpf(1) they are mpfs in the working precision.
-    A root search calls this at every step, so it reads psi through `_psi`,
-    out of the benchmark tracer's per-call records of `psi_*`.
+    It reads psi through `_psi`, out of the benchmark tracer's per-call
+    records of `psi_*`.
     """
     t = one * spec.free_endpoint
     den = 1 - spec.k * t
@@ -381,27 +405,39 @@ def solve_at(spec: SurfaceSpec, lam: float, chi: float) -> SolveResult:
     return build_result(spec, lam, w, c, profile)
 
 
+def _solve_root(spec: SurfaceSpec, lam: float, chi: float) -> SolveResult:
+    """The SolveResult at a root chi of the obstruction, certified as the
+    module docstring says: one boundary solve when r meets RESIDUAL_TOL."""
+    res = solve_at(spec, lam, chi)
+    if abs(res.residual) <= RESIDUAL_TOL or res.chi == 0.0:
+        return res
+    w = TorusWeight(chi)
+    if not res.profile.use_mp:
+        res = build_result(spec, lam, w, *_solve_with_profile(spec, lam, w, extended=True))
+        if abs(res.residual) <= RESIDUAL_TOL:
+            return res
+    step = SLOPE_STEP * chi
+    _, profile = _solve_with_profile(spec, lam, TorusWeight(chi + step), extended=True)
+    slope = (_shooting_residual(spec, profile) - res.residual) / step
+    moved = chi - res.residual / slope if slope else chi
+    if moved != chi and abs(moved - chi) <= abs(step):  # a secant step, never a jump
+        w = TorusWeight(moved)
+        res = build_result(spec, lam, w, *_solve_with_profile(spec, lam, w, extended=True))
+    tol = RESOLUTION_ULPS * abs(slope * res.chi) * 2.0 ** -52
+    return replace(res, residual_tol=max(RESIDUAL_TOL, tol))
+
+
 def solve_chi(spec: SurfaceSpec, lam: float, bracket) -> SolveResult:
-    """Brent root of the residual in chi over the given bracket."""
-    lo, hi = float(bracket[0]), float(bracket[1])
-    # cached, so that brentq reuses the two end values computed here
-    f = functools.cache(lambda chi: residual(spec, lam, TorusWeight(chi)))
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        root = lo
-    elif fhi == 0.0:
-        root = hi
-    elif np.sign(flo) * np.sign(fhi) > 0:
-        raise BracketError(
-            f"residual has no sign change on [{lo}, {hi}] "
-            f"(r({lo})={flo:.3g}, r({hi})={fhi:.3g})"
-        )
-    else:
-        try:
-            root = brentq(f, lo, hi, xtol=1e-13, rtol=8.9e-16)
-        except RuntimeError as exc:  # brentq stops after 100 steps; a wide bracket needs more
-            raise BracketError(f"no root found on [{lo}, {hi}]: {exc}") from exc
-    return solve_at(spec, lam, float(root))
+    """The solution whose chi is the root of the obstruction in the bracket.
+
+    The root is `functionals.obstruction_root` (brentq on F, not on the
+    residual); it gets one boundary solve, more only when its residual
+    misses RESIDUAL_TOL (module docstring).  BracketError when F does not
+    change sign on the bracket.
+    """
+    from .functionals import FunctionalContext, obstruction_root  # functionals imports this module
+
+    return _solve_root(spec, lam, obstruction_root(FunctionalContext(spec), lam, bracket))
 
 
 def flat_disk_limit_gap(spec: SurfaceSpec, chi: float) -> float:

@@ -5,7 +5,12 @@ brute-force quadrature, independently derived closed forms, and
 finite differences.  Tests compare the production paths against these.
 """
 
+import math
+
 import numpy as np
+from mpmath import mp, mpf
+
+from mucsck.errors import PoleError
 
 
 def trapezoid_weighted(tau_min, tau_max, density_coeffs, scale, f, chi, n=1_000_001):
@@ -102,7 +107,7 @@ def node_sum_functionals(ctx, chi, lam, dps=40):
     The Futaki invariant is the covariance -(avg(s^lam tau) - avg(s^lam)
     avg(tau)), which does not depend on where tau is measured from.
     """
-    from mpmath import exp, fsum, mp, mpf
+    from mpmath import exp, fsum
 
     from mucsck.surfaces import CP1
 
@@ -130,3 +135,48 @@ def node_sum_functionals(ctx, chi, lam, dps=40):
         nu = avg([(tv - tau) ** 2 for tv in ts])
         sbar = box + lam_ * x * tau - lam_ * mpf(ctx.shift)
         return float(futaki), float(nu), float(sbar)
+
+
+def lambda_of_chi_p2blowup(chi: float) -> float:
+    """lam(chi) for the blow-up of the plane in the class 2 pi (F + 2B).
+
+    Rational-exponential closed form, evaluated in 40-digit arithmetic for
+    every chi: numerator and denominator cancel to high order near chi = 0,
+    and in double precision the cancellation still costs about 1e-8
+    relative at |chi| = 0.05.  A scan of [-60, 0) finds no sign change of
+    the denominator; only an exact zero raises PoleError.
+    """
+    if not chi < 0.0:
+        raise ValueError(f"the closed form is stated for chi < 0, got {chi}")
+    with mp.workdps(40):
+        x = mpf(chi)
+        e2, em2 = mp.exp(2 * x), mp.exp(-2 * x)
+        num = (9 * x ** 2 - 6 * x - 2) * e2 + (-x ** 2 + 2 * x - 2) * em2 + (
+            -12 * x ** 3 + 16 * x ** 2 + 4 * x + 4
+        )
+        den = (9 * x ** 2 - 12 * x + 2) * e2 + (x ** 2 - 4 * x + 2) * em2 + (
+            -12 * x ** 4 + 16 * x ** 3 - 2 * x ** 2 + 16 * x - 4
+        )
+        if den == 0:
+            raise PoleError(f"lambda(chi) denominator vanishes at chi={chi}")
+        return float(x * num / den)
+
+
+def tau0_sign_polynomials(chi: float):
+    """(alpha, beta, gamma, delta) with a/b + 3/chi = (alpha + lam beta) /
+    (chi (gamma + lam delta)) on the blow-up of the plane.
+
+    Both numerator and denominator are affine in lam because the solved
+    coefficients are; the four pieces here were derived symbolically from
+    the coefficient closed forms.
+    """
+    e = math.exp(-2.0 * chi)
+    alpha = (-2 * chi ** 4 + chi ** 3 + 2 * chi ** 2 - 6 * chi) * e + (
+        9 * chi ** 3 - 14 * chi ** 2 + 6 * chi
+    )
+    beta = (-2 * chi ** 3 + 5 * chi ** 2 + 8 * chi - 6) * e + (
+        -12 * chi ** 3 + 23 * chi ** 2 - 20 * chi + 6
+    )
+    gamma = (-chi ** 3 + 2 * chi ** 2 - 2 * chi) * e + (3 * chi ** 3 - 6 * chi ** 2 + 2 * chi)
+    delta = (-chi ** 2 + 4 * chi - 2) * e + (-6 * chi ** 3 + 13 * chi ** 2 - 8 * chi + 2)
+    return alpha, beta, gamma, delta

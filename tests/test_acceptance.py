@@ -33,17 +33,12 @@ from mucsck.functionals import (
     properness_slope,
     sbar,
 )
-from mucsck.path import (
-    extremal_limit_check,
-    lambda_freeze_estimate,
-    lambda_of_chi_p2blowup,
-    trace,
-)
+from mucsck.path import extremal_limit_check, lambda_freeze_estimate, trace
 from mucsck.functionals import find_critical
 from mucsck.solver import chi_zero_branch, flat_disk_limit_gap, solve_at, solve_chi
 from mucsck.surfaces import SurfaceSpec
 
-from oracles import central_diff
+from oracles import central_diff, lambda_of_chi_p2blowup
 from test_energy import random_admissible_profile
 
 CP1 = SurfaceSpec.cp1(1.0)

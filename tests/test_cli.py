@@ -181,6 +181,19 @@ def test_futaki_json(tmp_path):
     assert blob["nu_self"] > 0.0
 
 
+def test_futaki_reads_the_kernel_once(tmp_path, monkeypatch):
+    import mucsck.functionals as fn
+
+    calls = []
+    kernel = fn._end_moments
+    monkeypatch.setattr(fn, "_end_moments", lambda *a: calls.append(a) or kernel(*a))
+    cfg = {"surface": RULED, "lambda": 1.0, "chi": -0.5276195199, "chi_dir": 2.0}
+    code, out = run(tmp_path, "futaki", cfg, fmt="json")
+    assert code == 0 and len(calls) == 1
+    blob = json.loads(out.read_text())
+    assert blob["futaki_dir"] == pytest.approx(2.0 * blob["futaki_self"] / blob["chi"], rel=1e-14)
+
+
 def test_byte_identical_reruns(tmp_path):
     cfg = {"surface": CP1, "lambda": 5.0, "chi_grid": [-1.0, 0.0, 1.0]}
     _, out1 = run(tmp_path, "muvol", cfg, name="a")

@@ -54,7 +54,32 @@ was unified, except:
   row moved chi by 4e-16 relative and the two float rows, which carry the
   float branch's 1e-8 residual noise, moved chi by 1.0e-8 and 9.7e-10
   relative, each toward `lambda_of_chi_p2blowup` (|lambda(chi) - lambda|
-  5.2e-7 -> 9.0e-8, 4.6e-7 -> 4.1e-7, and 2.8e-14 -> 0 on the mp row).
+  5.2e-7 -> 9.0e-8, 4.6e-7 -> 4.1e-7, and 2.8e-14 -> 0 on the mp row);
+* the seven solve and path cases, rewritten when roots came to be found on
+  the obstruction F0 + lam F1 instead of the residual (one boundary solve
+  per root, a float root whose residual misses 1e-10 solved again in 60
+  digits).  The oracle is the shooting residual at the written chi in 60
+  digits ("r60"); "ulp r" is |dr/dchi| |chi| eps, what one ulp of chi
+  moves r by:
+  - `solve_float_json` / `solve_float_csv` (Ruled(2, 1, 1), chi about
+    -3.7437): chi moved by 9.5e-16 relative, r60 4.6e-15 -> 1.0e-15, the
+    written float residual 3.1e-15 -> 4.7e-15, min_phi (1e-4, next to the
+    end where phi vanishes) by 1.9e-12 relative and the profile rows by at
+    most 1.6e-15 of max(1, |v|);
+  - `solve_mp_wide`, `solve_mp_wide_negative`, `solve_mp_wide_ruled`: chi
+    moved by 4.4e-16, 6.5e-16 and 3.7e-16 relative, 2 to 3 ulps, away from
+    r's zero (F's root is exact to a few ulps there): r60 -1.8e-12 ->
+    1.1e-11 (ulp r 6.5e-12), -1.1e-16 -> -1.4e-15 (4.4e-16) and 6.6e-14 ->
+    8.1e-13 (4.5e-13), all inside 1e-10; the other fields by at most
+    2.2e-12 relative (min_phi; a and b by at most 6.5e-13);
+  - `solve_mp_small_chi` (chi about -0.00878): chi moved by 3.9e-13
+    relative, r60 1.0e-13 -> 5.5e-17, the rows by at most 1.2e-13 relative;
+  - `path_float_to_mp`: the float rows at lambda = -40 and -50 are now
+    60-digit solves (their float residuals -1.3e-9 and -8.6e-9 missed
+    1e-10): chi moved by 2.1e-9 and 7.8e-9 relative, r60 5.8e-10 ->
+    3.9e-16 and -2.1e-9 -> -3.5e-16, |lambda_of_chi_p2blowup(chi) - lambda|
+    9.0e-8 -> 6.4e-14 and 4.1e-7 -> 7.1e-14; the mp row moved chi by 2e-16
+    relative (r60 -2.5e-18 -> -5.5e-17).
 
 To rewrite some of them after an intended output change (which must be
 recorded with its size and oracle in CHANGES.md), name the cases; with no

@@ -11,14 +11,14 @@ from mucsck.path import (
     WindowExhaustedError,
     extremal_limit_check,
     lambda_freeze_estimate,
-    lambda_of_chi_p2blowup,
     phase_diagram,
     tau0_positivity,
-    tau0_sign_polynomials,
     trace,
 )
 from mucsck.solver import residual, solve_chi, solve_coefficients
 from mucsck.surfaces import SurfaceSpec
+
+from oracles import lambda_of_chi_p2blowup, tau0_sign_polynomials
 
 P2 = SurfaceSpec.p2_blowup()
 CP1 = SurfaceSpec.cp1(1.0)
@@ -140,6 +140,37 @@ def test_trace_merges_onto_csck_branch_below_threshold():
     pts = trace(CP1, [5.0, 3.0], (0.1, 5.0))
     assert pts[1].ok
     assert pts[1].chi == pytest.approx(0.0, abs=1e-9)
+
+
+def test_trace_stays_on_the_branch_across_the_trivial_root():
+    # the nonzero root nearest the last one; a symmetric search around the
+    # last root on the residual met the sign change at chi = 0 first and
+    # returned chi = 0 for the last eleven points
+    grid = np.linspace(4.06639544110262, 8.205139604301007, 12)
+    pts = trace(CP1, grid, (-0.52, -0.47))
+    chis = [p.chi for p in pts]
+    assert all(p.ok and p.result.certified for p in pts)
+    assert chis[0] == pytest.approx(-0.4984, abs=1e-4)
+    assert chis[-1] == pytest.approx(-4.0370, abs=1e-4)
+    assert all(b < a < 0.0 for a, b in zip(chis, chis[1:]))
+
+
+def test_blowup_trace_certifies_every_point():
+    # roots from |chi| = 0.26 down to 0.008 cross the float/mp switch at
+    # |chi| = 1e-2; a float root whose residual misses RESIDUAL_TOL is solved
+    # again in 60 digits (37 of 79 points certified before)
+    grid = np.linspace(-1.0, -40.0, 79)
+    pts = trace(P2, grid, (-1.0, -0.1))
+    assert all(p.ok and p.result.certified for p in pts)
+    for p in pts:
+        assert lambda_of_chi_p2blowup(p.chi) == pytest.approx(p.lam, rel=1e-13)
+
+
+def test_trace_follows_the_branch_past_the_curve_window():
+    # chi > 30 lies outside SCAN_GRID: the bracket is grown from the last root
+    pts = trace(CP1, [50.0, 58.0, 64.0, 70.0], (24.0, 26.0))
+    assert all(p.ok and p.result.certified for p in pts)
+    assert [p.chi for p in pts] == pytest.approx([25.0, 29.0, 32.0, 35.0], abs=1e-6)
 
 
 def test_trace_rejects_non_monotone_grid():
@@ -288,6 +319,15 @@ def test_phase_degenerate_origin_is_a_maximum(m):
     # quartic term makes the origin a maximum, where the Hessian is rounding noise
     pd = phase_diagram(SurfaceSpec.cp1(m), [4.0 / m])
     assert dict(pd.classifications[0])[0.0] == "muvol_max"
+
+
+@pytest.mark.parametrize("m", [0.5, 1.0, 2.5])
+def test_degenerate_origin_is_the_only_root_at_four_over_m(m):
+    # F = F0 + lam F1 cancels to x^3 there; it is held to the size of the
+    # terms it cancels, not to the largest |F| on the grid (7 roots at m = 0.5)
+    spec = SurfaceSpec.cp1(m)
+    assert find_critical(FunctionalContext(spec), 4.0 / m) == [0.0]
+    assert phase_diagram(spec, [4.0 / m]).critical_counts == (1,)
 
 
 def test_phase_counts_odd():

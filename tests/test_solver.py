@@ -7,10 +7,12 @@ from scipy.optimize import brentq
 
 from mucsck.dh import TorusWeight
 from mucsck.errors import BracketError, ChiZeroBranchError, DomainError
+from mucsck.functionals import FunctionalContext, lambda_xi
 from mucsck.profiles import ClosedFormProfile, PolynomialProfile, _polyder
 from mucsck.solver import (
     MP_DPS,
     SCAN_POINTS,
+    RESIDUAL_TOL,
     PositivityCertificate,
     _free_deriv,
     _needs_mp,
@@ -338,6 +340,69 @@ def test_cp1_lam5_matches_bisection_oracle():
 def test_cp1_below_threshold_has_no_root():
     with pytest.raises(BracketError):
         solve_chi(CP1, 3.0, (0.1, 5.0))
+
+
+def _residual_60(spec, res):
+    """The shooting residual of the solve at (res.lam, res.chi) in 60 digits."""
+    with mp.workdps(MP_DPS):
+        profile = _solve(spec, mpf(res.lam), res.chi, mpf(1))[1]
+        return float(_free_deriv(spec, profile, mpf(1)) - spec.free_deriv_target)
+
+
+@pytest.mark.parametrize("lam, bracket, r60, tol", [
+    (18.0, (7.0, 11.0), 2.0e-10, 3.4e-9),
+    (20.0, (8.0, 12.0), -2.2e-9, 2.3e-8),
+    (13.924655176333713, (6.6986, 7.3001), -1.8e-11, RESIDUAL_TOL),
+    (14.705712870480335, (7.0577, 7.5835), -1.1e-11, 1.6e-10),
+])
+def test_strong_weight_roots_certify_at_the_resolution_of_chi(lam, bracket, r60, tol):
+    # at chi of 7 to 10 on the line one ulp of chi moves r by 4e-11 to 1e-8:
+    # a root that misses 1e-10 takes one secant step onto the float nearest
+    # r's zero and is held to 2 |dr/dchi| |chi| eps
+    res = solve_chi(CP1, lam, bracket)
+    assert res.certified
+    exact = _residual_60(CP1, res)
+    assert exact == pytest.approx(r60, rel=0.1)
+    assert res.residual == pytest.approx(exact, rel=1e-4)
+    assert res.residual_tol == pytest.approx(tol, rel=0.1)
+    assert "residual_tol" not in res.to_dict()
+
+
+@pytest.mark.parametrize("spec, chi", [
+    (SurfaceSpec.p2_blowup(), -0.0100003),
+    (SurfaceSpec.ruled(2, 1, 1.0), -0.018),
+    (SurfaceSpec.ruled(3, 0, 0.5), -0.036),
+], ids=["p2_blowup", "ruled_2_1_1", "ruled_3_0_0.5"])
+def test_near_degenerate_float_roots_are_solved_again_in_mp(spec, chi):
+    # just above |chi| = 1e-2 the float residual carries about 1e-9 of
+    # cancellation noise, and all three failed certification before; such a
+    # root is solved again in MP_DPS digits
+    if spec.m == 2.0:
+        lam, bracket = -52.443294026814726, (-0.02, -0.005)
+    else:
+        lam = lambda_xi(FunctionalContext(spec), TorusWeight(chi))
+        bracket = (1.05 * chi, 0.95 * chi)
+    res = solve_chi(spec, lam, bracket)
+    assert res.certified and res.profile.use_mp and not _needs_mp(spec, res.chi)
+    assert res.chi == pytest.approx(chi, rel=1e-6)
+    assert abs(_residual_60(spec, res)) <= 1e-14
+
+
+@pytest.mark.parametrize("spec, lam, bracket", [
+    (RULED, 0.0, (-0.5, -0.1)),
+    (CP1, 5.0, (0.1, 5.0)),
+    (CP1, 12.0, (5.5, 6.5)),
+    (SurfaceSpec.p2_blowup(), -60.0, (-0.02, -0.003)),
+])
+def test_solve_chi_makes_one_boundary_solve_and_no_residual_call(spec, lam, bracket, monkeypatch):
+    import mucsck.solver as solver
+
+    solves, residuals = [], []
+    original = solver._solve
+    monkeypatch.setattr(solver, "_solve", lambda *a: solves.append(a) or original(*a))
+    monkeypatch.setattr(solver, "residual", lambda *a: residuals.append(a))
+    assert solve_chi(spec, lam, bracket).certified
+    assert (len(solves), len(residuals)) == (1, 0)
 
 
 # -- scaling covariance -------------------------------------------------------------
