@@ -6,32 +6,31 @@ integrals of the form
 
     scale * int f(tau) p(tau) exp(-chi tau) dtau,
 
-so this module is the single integration backend.  Averages and log-masses
-are computed with max-subtraction in the exponent so that weights spanning
-hundreds of orders of magnitude (continuity-path endpoints, properness
-scans) stay finite.
+so this module is the single integration backend, and the moment kernel
+`_end_moments` is its one evaluator.
 
 The rule is one fixed composite Gauss-Legendre rule: PANELS equal panels of
-GAUSS_NODES nodes each, evaluated in a single pass.  The integrands are
-entire in tau (polynomials times e^{-chi tau}), so Gauss-Legendre converges
-geometrically on every panel: 128 panels integrate e^{-chi tau} to 5e-15
-relative at |chi| * width = 630, past the properness scan's 400, and 128 is
-where an adaptive panel doubling (tolerance 1e-12) stopped on every integral
-of the test suite.  `_panel_nodes` is the one source of nodes and weights,
-also for the energy grid in `energy`.  `DHMeasure.rule` caches the rule's
-nodes, weights and density values, and every integral takes its integrand
-as values on those nodes or as a callable evaluated there once.
+GAUSS_NODES nodes each.  The integrands are entire in tau, so it converges
+geometrically: 128 panels integrate e^{-chi tau} to 5e-15 relative at
+|chi| * width = 630, past the properness scan's 400, and 128 is where an
+adaptive panel doubling (tolerance 1e-12) stopped on every integral of the
+test suite.  `_panel_nodes` is the one source of nodes and weights, also
+for the energy grid.  `DHMeasure.rule` caches the nodes, weights and
+density values; an integrand is given as values there or as a callable.
 
-The moment kernel `_end_moments` evaluates many weights at once.  Measured
-from the end where e^{-chi tau} peaks (tau_min for chi >= 0, tau_max for
-chi < 0), a node lies h (1 + x_j) past the edge e_p of its panel nearest
+The kernel evaluates many weights at once.  Measured from the end where
+e^{-chi tau} peaks, which `_peak_end` picks for the kernel, the
+functionals and the energy weights alike (tau_min for chi >= 0, else
+tau_max), a node lies h (1 + x_j) past the edge e_p of its panel nearest
 that end (h the half panel width, x_j a Gauss node), so the weight factors
 as e^{-chi (tau - ref)} = e^{-|chi| |e_p - ref|} e^{-|chi| h (1 + x_j)}.
 Both exponents are <= 0, so no factor overflows for any finite chi, and a
 chi costs PANELS + GAUSS_NODES exponentials and one product with a stack of
 node columns cached by `_end_stacks`.  The columns are centred at the same
 end, so the moments are the shifted one-pass sums of Chan, Golub and
-LeVeque (Amer. Statist. 1983) and their differences lose no accuracy.
+LeVeque (Amer. Statist. 1983) and their differences lose no accuracy.  The
+public integrals are readings of one kernel row (`_reading`); a result past
+the float range raises EvaluationError naming chi.
 """
 
 from __future__ import annotations
@@ -138,24 +137,9 @@ def _panel_nodes(measure: DHMeasure, panels: int = PANELS):
     return nodes.ravel(), weights.ravel()
 
 
-def _integrate_shifted(measure: DHMeasure, f, e) -> float:
-    """scale * int f p e dtau, e the weight on the nodes; f is a callable or its values there."""
-    nodes, weights, dens = measure.rule
-    fv = np.asarray(f(nodes) if callable(f) else f, dtype=float)
-    if fv.shape != nodes.shape:
-        fv = np.broadcast_to(fv, nodes.shape)
-    if not np.all(np.isfinite(fv)):
-        bad = nodes[~np.isfinite(fv)][0]
-        raise EvaluationError(f"integrand is not finite at tau={bad}", node=bad)
-    vals = fv * dens * e
-    return measure.scale * float(np.sum(vals * weights))
-
-
-def _shifted_weight(measure: DHMeasure, chi: float):
-    """(e^{-chi tau - shift} on the nodes, shift), shift the max of -chi*tau
-    over the interval; subtracting it keeps exponents <= 0."""
-    shift = max(-chi * measure.tau_min, -chi * measure.tau_max)
-    return np.exp(-chi * measure.rule[0] - shift), shift
+def _peak_end(chis):
+    """Per chi, 0 (tau_min) where e^{-chi tau} peaks at tau_min, else 1 (tau_max)."""
+    return (np.asarray(chis, dtype=float) < 0.0).astype(int)
 
 
 def _end_stacks(measure: DHMeasure, columns):
@@ -192,16 +176,18 @@ def _end_stacks(measure: DHMeasure, columns):
 def _end_moments(stacks, chis):
     """(log-masses, averages) of the `_end_stacks` columns at every chi of `chis`.
 
-    For chi >= 0 the moments are centred at ref = tau_min, for chi < 0 at
-    ref = tau_max: the log-mass is log(scale int p e^{-chi (tau - ref)}),
-    so log_mass(measure, chi) = log-mass - chi ref, and row i of the averages
-    holds the weighted averages of the columns at chis[i] (without column 0).
-    A vanishing mass or a non-finite average raises EvaluationError naming chi.
+    The moments at chi are centred at ref, the end `_peak_end(chi)`: the
+    log-mass is log(scale int p e^{-chi (tau - ref)}), so log_mass(measure,
+    chi) = log-mass - chi ref, and row i of the averages holds the weighted
+    averages of the columns at chis[i] (without column 0).  A vanishing mass
+    or a non-finite average raises EvaluationError naming chi.
     """
     offsets, ends = stacks
     chis = np.asarray(chis, dtype=float)
     sums = np.empty((len(chis), ends[0][1].shape[1] // GAUSS_NODES))
-    for (dist, stack), side in zip(ends, (chis >= 0.0, chis < 0.0)):
+    peak = _peak_end(chis)
+    for end, (dist, stack) in enumerate(ends):
+        side = peak == end
         if not side.any():
             continue
         a = np.abs(chis[side])[:, None]
@@ -220,25 +206,40 @@ def _end_moments(stacks, chis):
     return np.log(mass), avgs
 
 
+def _reading(measure: DHMeasure, f, chi: float):
+    """(log_mass, weighted average of f) at chi from one kernel row; f is a
+    callable or its values on rule[0]."""
+    nodes = measure.rule[0]
+    fv = np.broadcast_to(np.asarray(f(nodes) if callable(f) else f, dtype=float), nodes.shape)
+    log_masses, avgs = _end_moments(_end_stacks(measure, lambda ref: (fv,)), [chi])
+    ref = (measure.tau_min, measure.tau_max)[int(_peak_end(chi))]
+    return float(log_masses[0]) - chi * ref, float(avgs[0, 0])
+
+
+def _in_range(value: float, chi: float) -> float:
+    if not math.isfinite(value):
+        raise EvaluationError(f"the weighted integral is past the float range at chi={chi!r}")
+    return value
+
+
 def integrate_weighted(measure: DHMeasure, f, w: TorusWeight) -> float:
     """scale * int f(tau) p(tau) e^{-chi tau} dtau; f is a callable or its values on rule[0].
 
-    Deterministic; raises EvaluationError naming the node if f is non-finite
-    there.
+    Raises EvaluationError naming the node if f is non-finite there.
     """
-    return _integrate_shifted(measure, f, np.exp(-w.chi * measure.rule[0]))
+    lm, avg = _reading(measure, f, w.chi)
+    with np.errstate(over="ignore"):
+        return _in_range(float(np.exp(lm) * avg), w.chi)
 
 
 def log_mass(measure: DHMeasure, w: TorusWeight) -> float:
     """log of integrate_weighted(measure, 1, w), stable for any chi."""
-    e, shift = _shifted_weight(measure, w.chi)
-    return math.log(_integrate_shifted(measure, 1.0, e)) + shift
+    return _in_range(_reading(measure, 1.0, w.chi)[0], w.chi)
 
 
 def weighted_average(measure: DHMeasure, f, w: TorusWeight) -> float:
     """int f p e^{-chi tau} / int p e^{-chi tau}; overflow-safe in chi."""
-    e = _shifted_weight(measure, w.chi)[0]
-    return _integrate_shifted(measure, f, e) / _integrate_shifted(measure, 1.0, e)
+    return _reading(measure, f, w.chi)[1]
 
 
 def moment(measure: DHMeasure, w: TorusWeight, order: int) -> float:
@@ -257,17 +258,3 @@ def variance(measure: DHMeasure, w: TorusWeight) -> float:
     """Weighted variance of tau; the nu-kernel for unit directions."""
     mean = barycenter(measure, w)
     return weighted_average(measure, lambda t: (t - mean) ** 2, w)
-
-
-def unit_density_mass(tau_min: float, tau_max: float, chi: float) -> float:
-    """Closed form of int_a^b e^{-chi tau} dtau with a Taylor branch near chi=0.
-
-    The /chi formula cancels catastrophically for small chi; below 1e-6 a
-    6-term expansion in chi is exact to double precision.
-    """
-    if abs(chi) < 1e-6:
-        total = 0.0
-        for j in range(6):
-            total += (-chi) ** j * (tau_max ** (j + 1) - tau_min ** (j + 1)) / math.factorial(j + 1)
-        return total
-    return (math.exp(-chi * tau_min) - math.exp(-chi * tau_max)) / chi

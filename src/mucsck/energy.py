@@ -18,7 +18,9 @@ tau on one grid: the dh composite Gauss-Legendre rule with TAU_PANELS
 uniform panels, without refinement at the endpoints (the integrands stay
 smooth there because the canonical part of U absorbs the boundary
 singularity), and in t with one cumulative pass over a sorted time grid,
-`_t_integrals`.  The curvature comes from the one formula in the solver.
+`_t_integrals`.  The tau weights are e^{-chi (tau - ref)}, ref the end
+`dh._peak_end` picks, so none exceeds 1.  The curvature comes from the one
+formula in the solver.
 
 On the path route the path supplies its jets on the tau nodes (`jets`):
 U_t is affine in t along a geodesic, so the endpoints' (U'', U''', U'''')
@@ -36,8 +38,8 @@ import numpy as np
 from numpy.polynomial.chebyshev import Chebyshev
 from scipy.optimize import brentq
 
-from .dh import TorusWeight, _panel_nodes
-from .errors import DomainError, PathDegeneracyError
+from .dh import TorusWeight, _panel_nodes, _peak_end
+from .errors import DomainError, EvaluationError, PathDegeneracyError
 from .solver import mu_curvatures
 from .surfaces import CP1, SurfaceSpec
 
@@ -239,7 +241,11 @@ def _weight_data(spec: SurfaceSpec, w: TorusWeight):
         raise ValueError("energy functional is implemented on the line")
     meas = spec.measure
     nodes, wts = _panel_nodes(meas, TAU_PANELS)
-    q = meas.density(nodes) * meas.scale * np.exp(-w.chi * nodes) * wts
+    ref = (meas.tau_min, meas.tau_max)[int(_peak_end(w.chi))]
+    with np.errstate(over="ignore"):  # -chi (tau - ref) <= 0: an overflow is e^{-inf} = 0
+        q = meas.density(nodes) * meas.scale * np.exp(-w.chi * (nodes - ref)) * wts
+    if not 0.0 < np.sum(q) < np.inf:
+        raise EvaluationError(f"the weighted mass vanishes or is not finite at chi={w.chi!r}")
     return nodes, q / np.sum(q)
 
 

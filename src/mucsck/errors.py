@@ -42,9 +42,5 @@ class PathDegeneracyError(MucsckError):
         self.t = t
 
 
-class PoleError(MucsckError):
-    """Closed-form evaluation hit a pole of the expression."""
-
-
 class ConfigError(MucsckError):
     """A run configuration failed validation."""

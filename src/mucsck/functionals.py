@@ -17,13 +17,13 @@ the powers of u = tau - ref up to u^3, A, B0, B, C, (A, B, C) times u and
 u^2, and phi.  The moment kernel `dh._end_moments` returns their log-mass
 and weighted averages for a whole array of chi at once, and every
 functional is a closed expression in those moments: theta_bar, sbar,
-log_mass_shifted, log_vol, mu_vol, futaki, d_mu_vol, nu, lambda_xi,
-d2_mu_vol, stats0, lambda_inf, W_check, properness_slope, the obstruction
-curve F0 + lam F1 on SCAN_GRID and mu_vol_profile on any chi array.  Its
-roots are the solver's (`obstruction_root`, used by `solver.solve_chi` and
-`path.trace`) and the critical points (`find_critical`).  The
-columns are centred near the weighted mean (u at the end where the weight
-peaks, A, B and C at their values there), which is the shifted one-pass
+log_vol, mu_vol, futaki, d_mu_vol, nu, lambda_xi, d2_mu_vol, stats0,
+lambda_inf, W_check, properness_slope, the obstruction curve F0 + lam F1 on
+SCAN_GRID and mu_vol_profile on any chi array.  Its roots are the solver's
+(`obstruction_root`, used by `solver.solve_chi` and `path.trace`) and the
+critical points (`find_critical`).  The columns are centred near the
+weighted mean (u at the end where the weight peaks, `dh._peak_end`, and A,
+B and C at their values there), which is the shifted one-pass
 formula of Chan, Golub and LeVeque, so a covariance such as avg(s tau) -
 avg(s) avg(tau) loses no leading digits.
 
@@ -53,8 +53,8 @@ from functools import cached_property
 import numpy as np
 from scipy.optimize import brentq
 
-from .dh import TorusWeight, _end_moments, _end_stacks
-from .errors import BracketError, MucsckError
+from .dh import TorusWeight, _end_moments, _end_stacks, _peak_end
+from .errors import BracketError, EvaluationError, MucsckError
 from .solver import CHI_ZERO_THRESHOLD, mu_curvatures, mu_scalar_curvature, psi_jet
 from .surfaces import SurfaceSpec
 
@@ -68,7 +68,7 @@ SCAN_GRID = np.concatenate([-_SCAN_MAGS[::-1], [0.0], _SCAN_MAGS])
 
 
 # The kernel's moments at chi, centred at ref, the end where the weight
-# peaks (tau_min for chi >= 0, else tau_max): with u = tau - ref and A, B, C
+# peaks (`dh._peak_end`): with u = tau - ref and A, B, C
 # minus their values at the node nearest ref (A's is a_end), log_mass is
 # log(scale int p e^{-chi u}) and t1, t2, t3, a, b0, b, c, at, bt, ct, at2,
 # bt2, ct2, phi are the weighted averages of u, u^2, u^3, A, B0, B, C, A u,
@@ -129,7 +129,7 @@ class FunctionalContext:
             raise ValueError(f"chi must be finite, got {c[~np.isfinite(c)][0]}")
         stacks, a_ends = self._stacks
         log_mass, avgs = _end_moments(stacks, c)
-        end = (c < 0.0).astype(int)
+        end = _peak_end(c)
         refs = np.array([self.measure.tau_min, self.measure.tau_max])[end]
         fields = (c, refs, a_ends[end], log_mass, *avgs.T)
         if np.ndim(chis) == 0:
@@ -196,6 +196,18 @@ def _obstruction(m):
     return f0, -m.chi * _var(m)
 
 
+def _lambda_xi(m):
+    """F0 / (chi var(tau)); an underflowing divisor or quotient past the float
+    range raises EvaluationError naming chi."""
+    den = m.chi * _var(m)
+    with np.errstate(all="ignore"):
+        lam = _obstruction(m)[0] / den
+    if not (abs(den) >= np.finfo(float).tiny and np.isfinite(lam)):
+        raise EvaluationError(f"lambda_xi = F0 / (chi var(tau)) leaves the float range at "
+                              f"chi={float(m.chi)!r} (chi var(tau) = {float(den)!r})")
+    return float(lam)
+
+
 def _theta_bar(m):
     return -m.chi * (m.ref + m.t1) + m.shift
 
@@ -205,7 +217,7 @@ def _sbar(m, lam):
 
 
 def _log_vol(m, lam):
-    # sbar + lam log_mass_shifted: the shift and ref cancel in closed form
+    # sbar + lam (log mass + shift): the shift and ref cancel in closed form
     return _s_box(m) + lam * (m.chi * m.t1 + m.log_mass)
 
 
@@ -238,11 +250,6 @@ def theta_bar(ctx: FunctionalContext, w: TorusWeight) -> float:
 def sbar(ctx: FunctionalContext, w: TorusWeight, lam: float) -> float:
     """Weighted average of (s + box theta - lam theta); a class constant."""
     return float(_sbar(ctx._moments(w.chi), lam))
-
-
-def log_mass_shifted(ctx: FunctionalContext, w: TorusWeight) -> float:
-    m = ctx._moments(w.chi)
-    return float(m.log_mass - m.chi * m.ref + m.shift)
 
 
 def log_vol(ctx: FunctionalContext, w: TorusWeight, lam: float) -> float:
@@ -305,8 +312,7 @@ def lambda_xi(ctx: FunctionalContext, w: TorusWeight) -> float:
     """The unique lam with vanishing self-obstruction at this weight."""
     if w.chi == 0.0:
         raise MucsckError("lambda_xi is undefined at the origin; use lambda_hat")
-    m = ctx._moments(w.chi)
-    return float(_obstruction(m)[0] / (w.chi * _var(m)))
+    return _lambda_xi(ctx._moments(w.chi))
 
 
 # -- unweighted (chi = 0) statistics: closed forms in FunctionalContext.stats0 --------
@@ -488,6 +494,6 @@ def futaki_report(ctx: FunctionalContext, w: TorusWeight, lam: float, w_dir: Tor
         theta_bar=float(_theta_bar(m)),
         futaki_self=float(w.chi * (f0 + lam * f1)),
         nu_self=float(w.chi ** 2 * _var(m)),
-        lambda_xi=float(f0 / (w.chi * _var(m))) if w.chi != 0.0 else None,
+        lambda_xi=_lambda_xi(m) if w.chi != 0.0 else None,
     )
     return report, w_dir.chi * float(f0 + lam * f1)

@@ -10,7 +10,11 @@ import math
 import numpy as np
 from mpmath import mp, mpf
 
-from mucsck.errors import PoleError
+from mucsck.errors import MucsckError
+
+
+class PoleError(MucsckError):
+    """A closed form hit a pole of the expression."""
 
 
 def trapezoid_weighted(tau_min, tau_max, density_coeffs, scale, f, chi, n=1_000_001):
@@ -19,6 +23,39 @@ def trapezoid_weighted(tau_min, tau_max, density_coeffs, scale, f, chi, n=1_000_
     p = np.polynomial.polynomial.polyval(ts, density_coeffs)
     vals = f(ts) * p * np.exp(-chi * ts)
     return scale * np.trapezoid(vals, ts)
+
+
+def unit_density_mass(tau_min: float, tau_max: float, chi: float) -> float:
+    """Closed form of int_a^b e^{-chi tau} dtau with a Taylor branch near chi=0.
+
+    The /chi formula cancels catastrophically for small chi; below 1e-6 a
+    6-term expansion in chi is exact to double precision.
+    """
+    if abs(chi) < 1e-6:
+        total = 0.0
+        for j in range(6):
+            total += (-chi) ** j * (tau_max ** (j + 1) - tau_min ** (j + 1)) / math.factorial(j + 1)
+        return total
+    return (math.exp(-chi * tau_min) - math.exp(-chi * tau_max)) / chi
+
+
+def node_sum_integral(measure, f, chi, shift=0.0):
+    """scale * int f p e^{-chi tau - shift} dtau by one plain sum over the
+    nodes of measure.rule; f is a callable or its values there."""
+    nodes, weights, dens = measure.rule
+    fv = np.broadcast_to(np.asarray(f(nodes) if callable(f) else f, dtype=float), nodes.shape)
+    return measure.scale * float(np.sum(fv * dens * np.exp(-chi * nodes - shift) * weights))
+
+
+def node_sum_log_mass_and_average(measure, f, chi):
+    """(log scale int p e^{-chi tau}, weighted average of f) by node sums.
+
+    The weight is shifted by the max of -chi tau over the interval, so no
+    factor exceeds 1; the shift is added back to the log-mass.
+    """
+    shift = max(-chi * measure.tau_min, -chi * measure.tau_max)
+    mass = node_sum_integral(measure, 1.0, chi, shift)
+    return math.log(mass) + shift, node_sum_integral(measure, f, chi, shift) / mass
 
 
 def cp1_closed_form_abc(lam, chi):

@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -342,6 +343,21 @@ def test_finite_extreme_input_exits_3(tmp_path, capsys, command, cfg):
     code, _ = run(tmp_path, command, cfg)
     assert code == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cfg", [
+    {"surface": CP1, "lambda": 1.0, "chi": 5e-324},
+    {"surface": RULED, "lambda": 1.0, "chi": 1e-310},
+], ids=["cp1", "ruled"])
+def test_lambda_xi_at_subnormal_chi_exits_3(tmp_path, capsys, cfg):
+    # chi var(tau) underflows (to 0 on the line, to a subnormal on the ruled
+    # surface): an error naming lambda_xi, not a numpy warning and an inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run(tmp_path, "futaki", cfg, fmt="json")
+    assert code == 3 and not out.exists()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "lambda_xi" in err[0] and "RuntimeWarning" not in err[0]
 
 
 def test_profile_points_bounded_before_the_solve(tmp_path, capsys, monkeypatch):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,13 +11,12 @@ from mucsck.dh import (
     integrate_weighted,
     log_mass,
     moment,
-    unit_density_mass,
     variance,
     weighted_average,
 )
 from mucsck.errors import EvaluationError
 
-from oracles import trapezoid_weighted
+from oracles import trapezoid_weighted, unit_density_mass
 
 SYM = DHMeasure(-math.pi, math.pi, (1.0,), 1.0)
 RULED = DHMeasure(-2.0, 0.0, (1.0, -1.0), 2.0 * math.pi)
@@ -131,6 +131,34 @@ def test_weighted_average_extreme_exponent():
     assert 0.0 < avg < 0.01
     lm = log_mass(DHMeasure(0.0, 2.0, (1.0,), 1.0), TorusWeight(200.0))
     assert lm == pytest.approx(math.log(1.0 / 200.0), rel=1e-6)
+
+
+def test_integral_near_the_float_limit_is_finite():
+    # e^{355 tau} on [0, 2] reaches e^{710}, past the float range, but its
+    # integral (e^{710} - 1) / 355 does not; at chi = -400 the integral is
+    # past the range too, and that is an error naming chi, not inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = math.log(integrate_weighted(DHMeasure(0.0, 2.0), 1.0, TorusWeight(-355.0)))
+        assert got == pytest.approx(710.0 - math.log(355.0), rel=1e-13)
+        assert log_mass(DHMeasure(0.0, 2.0), TorusWeight(-400.0)) == pytest.approx(
+            800.0 - math.log(400.0), rel=1e-13)
+        with pytest.raises(EvaluationError, match="chi=-400.0"):
+            integrate_weighted(DHMeasure(0.0, 2.0), 1.0, TorusWeight(-400.0))
+
+
+def test_helpers_read_one_row_of_the_moment_kernel(monkeypatch):
+    import mucsck.dh as dh
+
+    rows = []
+    kernel = dh._end_moments
+    monkeypatch.setattr(dh, "_end_moments",
+                        lambda st, chis: rows.append(len(chis)) or kernel(st, chis))
+    w = TorusWeight(0.7)
+    integrate_weighted(RULED, np.cos, w)
+    log_mass(RULED, w)
+    weighted_average(RULED, np.cos, w)
+    assert rows == [1, 1, 1]
 
 
 def test_variance_uniform():

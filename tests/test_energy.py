@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.polynomial.chebyshev import Chebyshev
@@ -145,6 +147,20 @@ def test_gauge_invariance_additive_velocity():
     a = muk_energy_path(SPEC, W_STAR, 5.0, path)
     b = muk_energy_path(SPEC, W_STAR, 5.0, Gauged())
     assert abs(a - b) <= 1e-10
+
+
+def test_weights_are_shift_safe_for_both_signs():
+    # e^{-chi tau} alone overflows at chi = -400 on [0, 2]; measured from the
+    # end where it peaks, no factor exceeds 1, and the line's symmetry maps
+    # the weights at chi onto those at -chi
+    qs = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for chi in (400.0, -400.0):
+            q = _weight_data(SPEC, TorusWeight(chi))[1]
+            assert np.all(np.isfinite(q)) and np.sum(q) == pytest.approx(1.0, rel=1e-14)
+            qs[chi] = q
+    np.testing.assert_allclose(qs[-400.0][::-1], qs[400.0], rtol=1e-12, atol=0.0)
 
 
 def test_jets_match_the_potential_at_each_time(rng):

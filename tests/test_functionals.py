@@ -475,41 +475,47 @@ def kernel_contexts(name):
 
 
 @pytest.mark.parametrize("name", sorted(KERNEL_SPECS))
-def test_kernel_moments_match_dh_helpers(name):
-    # |chi| * width up to 400, the end of the properness scan
-    from mucsck.dh import barycenter, log_mass, variance, weighted_average
+def test_kernel_moments_match_node_sum_oracle(name):
+    # |chi| * width up to 400, the end of the properness scan, and 1000
     from mucsck.functionals import _obstruction
     from mucsck.solver import mu_curvatures
-
-    def rms(vals, w):
-        return math.sqrt(weighted_average(ctx.measure, vals ** 2, w))
+    from oracles import node_sum_log_mass_and_average
 
     for variant, ctx in kernel_contexts(name).items():
         meas, t = ctx.measure, ctx.measure.rule[0]
         _, A = mu_curvatures(ctx.spec, 0.0, 0.0, t, ctx.jet)
         B0 = mu_curvatures(ctx.spec, 1.0, 0.0, t, ctx.jet)[1] - A
         phi = ctx.reference_profile.value(t)
-        for xw in (0.0, 0.5, -0.5, 5.0, -5.0, 50.0, -50.0, 400.0, -400.0):
+        for xw in (0.0, 0.5, -0.5, 5.0, -5.0, 50.0, -50.0, 400.0, -400.0, 1000.0, -1000.0):
             chi = xw / meas.width
-            w, m = TorusWeight(chi), ctx._moments(chi)
-            mean, var = barycenter(meas, w), variance(meas, w)
+            m = ctx._moments(chi)
+
+            def avg(vals):
+                return node_sum_log_mass_and_average(meas, vals, chi)[1]
+
+            def rms(vals):
+                return math.sqrt(avg(vals ** 2))
+
+            lm = node_sum_log_mass_and_average(meas, 1.0, chi)[0]
+            mean = avg(t)
+            var = avg((t - mean) ** 2)
             s0 = mu_curvatures(ctx.spec, chi, 0.0, t, ctx.jet)[0]
-            s0_hat = s0 - weighted_average(meas, s0, w)
+            s0_hat = s0 - avg(s0)
             pairs = [
-                (m.log_mass - chi * m.ref, log_mass(meas, w), max(1.0, abs(log_mass(meas, w)))),
+                (m.log_mass - chi * m.ref, lm, max(1.0, abs(lm))),
                 (m.ref + m.t1, mean, math.sqrt(var + mean ** 2)),
                 (m.t2 - m.t1 ** 2, var, var),
-                (m.t3, weighted_average(meas, (t - m.ref) ** 3, w), rms((t - m.ref) ** 3, w)),
-                (m.a_end + m.a, weighted_average(meas, A, w), rms(A, w)),
-                (m.b0, weighted_average(meas, B0, w), rms(B0, w)),
-                (m.phi, weighted_average(meas, phi, w), rms(phi, w)),
+                (m.t3, avg((t - m.ref) ** 3), rms((t - m.ref) ** 3)),
+                (m.a_end + m.a, avg(A), rms(A)),
+                (m.b0, avg(B0), rms(B0)),
+                (m.phi, avg(phi), rms(phi)),
             ]
             for i, (got, expected, scale) in enumerate(pairs):
                 assert abs(got - expected) <= 1e-13 * scale, (variant, xw, i, got, expected)
             # the covariance of s^0 and tau; the reference's node values of
             # s^0 = A + chi B + chi^2 C cancel at large |chi|
-            cov = weighted_average(meas, s0_hat * (t - mean), w)
-            assert abs(-_obstruction(m)[0] - cov) <= 1e-12 * rms(s0_hat, w) * math.sqrt(var), (
+            cov = avg(s0_hat * (t - mean))
+            assert abs(-_obstruction(m)[0] - cov) <= 1e-12 * rms(s0_hat) * math.sqrt(var), (
                 variant, xw)
 
 
