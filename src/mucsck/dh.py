@@ -142,25 +142,27 @@ def _peak_end(chis):
     return (np.asarray(chis, dtype=float) < 0.0).astype(int)
 
 
-def _end_stacks(measure: DHMeasure, columns):
+def _end_stacks(measure: DHMeasure, columns, ends=(0, 1)):
     """The node columns of `columns(ref)`, laid out for `_end_moments`.
 
     columns(ref) returns the columns' values on rule[0] for the moments
-    centred at ref; it is called for ref = tau_min and ref = tau_max.  Each
-    column is multiplied by scale * density * weight and checked finite (an
-    EvaluationError names the node), and the weight itself is prepended as
-    column 0.  Per end, the nodes are ordered from that end inward (the
-    tau_max stack reversed; the Gauss nodes are symmetric) into a (PANELS,
-    K * GAUSS_NODES) array, next to the distances from the end to each
-    panel's nearer edge.  Returns (node offsets h (1 + x_j), ((distances,
-    stack) at tau_min, (distances, stack) at tau_max)).
+    centred at ref; it is called for ref = tau_min (end 0) and ref = tau_max
+    (end 1), for each end in `ends`.  Each column is multiplied by scale *
+    density * weight and checked finite (an EvaluationError names the node),
+    and the weight itself is prepended as column 0.  Per end, the nodes are
+    ordered from that end inward (the tau_max stack reversed; the Gauss
+    nodes are symmetric) into a (PANELS, K * GAUSS_NODES) array, next to the
+    distances from the end to each panel's nearer edge.  Returns (node
+    offsets h (1 + x_j), ((distances, stack) at tau_min, (distances, stack)
+    at tau_max)), with None for an end not in `ends`.
     """
     nodes, weights, dens = measure.rule
     edges = _edges(measure)
-    ends = []
     lo, hi = measure.tau_min, measure.tau_max
-    for ref, order, dist in ((lo, slice(None), edges[:-1] - lo),
-                             (hi, slice(None, None, -1), hi - edges[:0:-1])):
+    sides = ((lo, slice(None), edges[:-1] - lo), (hi, slice(None, None, -1), hi - edges[:0:-1]))
+    built = [None, None]
+    for end in ends:
+        ref, order, dist = sides[end]
         with np.errstate(all="ignore"):
             g = measure.scale * dens * weights
             cols = np.array([g] + [g * c for c in columns(ref)])
@@ -169,8 +171,8 @@ def _end_stacks(measure: DHMeasure, columns):
             node = float(nodes[bad][0])
             raise EvaluationError(f"integrand is not finite at tau={node}", node=node)
         cols = cols[:, order].reshape(len(cols), PANELS, GAUSS_NODES).transpose(1, 0, 2)
-        ends.append((dist, np.ascontiguousarray(cols).reshape(PANELS, -1)))
-    return 0.5 * measure.width / PANELS * (1.0 + _GL_X), tuple(ends)
+        built[end] = (dist, np.ascontiguousarray(cols).reshape(PANELS, -1))
+    return 0.5 * measure.width / PANELS * (1.0 + _GL_X), tuple(built)
 
 
 def _end_moments(stacks, chis):
@@ -184,12 +186,14 @@ def _end_moments(stacks, chis):
     """
     offsets, ends = stacks
     chis = np.asarray(chis, dtype=float)
-    sums = np.empty((len(chis), ends[0][1].shape[1] // GAUSS_NODES))
+    columns = next(e for e in ends if e is not None)[1].shape[1] // GAUSS_NODES
+    sums = np.empty((len(chis), columns))
     peak = _peak_end(chis)
-    for end, (dist, stack) in enumerate(ends):
+    for end, built in enumerate(ends):
         side = peak == end
         if not side.any():
             continue
+        dist, stack = built
         a = np.abs(chis[side])[:, None]
         with np.errstate(over="ignore"):
             panel, node = np.exp(-(a * dist)), np.exp(-(a * offsets))
@@ -207,12 +211,14 @@ def _end_moments(stacks, chis):
 
 
 def _reading(measure: DHMeasure, f, chi: float):
-    """(log_mass, weighted average of f) at chi from one kernel row; f is a
-    callable or its values on rule[0]."""
+    """(log_mass, weighted average of f) at chi from one kernel row, on the
+    stack of the end where the weight peaks only; f is a callable or its
+    values on rule[0]."""
     nodes = measure.rule[0]
     fv = np.broadcast_to(np.asarray(f(nodes) if callable(f) else f, dtype=float), nodes.shape)
-    log_masses, avgs = _end_moments(_end_stacks(measure, lambda ref: (fv,)), [chi])
-    ref = (measure.tau_min, measure.tau_max)[int(_peak_end(chi))]
+    end = int(_peak_end(chi))
+    log_masses, avgs = _end_moments(_end_stacks(measure, lambda ref: (fv,), (end,)), [chi])
+    ref = (measure.tau_min, measure.tau_max)[end]
     return float(log_masses[0]) - chi * ref, float(avgs[0, 0])
 
 

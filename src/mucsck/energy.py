@@ -22,20 +22,32 @@ singularity), and in t with one cumulative pass over a sorted time grid,
 `dh._peak_end` picks, so none exceeds 1.  The curvature comes from the one
 formula in the solver.
 
+A potential's smooth part interpolates at degree DEFAULT_DEG and is then
+chopped where its coefficients reach their rounding plateau (`_chopped`,
+at machine epsilon against the canonical part's size): an evaluation pays
+for the 15-30 coefficients that carry an admissible profile (one for
+Fubini-Study), not for the rounding tail that each derivative would
+amplify into the jets.
+
 On the path route the path supplies its jets on the tau nodes (`jets`):
 U_t is affine in t along a geodesic, so the endpoints' (U'', U''', U'''')
 and the velocity are evaluated once, and each t-node only combines those
 arrays and checks U_t'' > 0.  The endpoint-entropy route stays independent
-of this: it composes the moment maps of each U_t by Newton iteration.
+of this: it composes moment maps and never reads the path's jets.  The
+compositions of a block of _T_BLOCK t-nodes are two Newton solves over a
+(t x tau) array (`_compositions_along`): U_t' = (1 - t) U_0' + t U_1', so
+row t carries its own series (1 - t) c_0 + t c_1.  One Newton,
+`_newton_slope`, serves these and `invert_uprime`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from numpy.polynomial.chebyshev import Chebyshev
+from numpy.polynomial.chebyshev import Chebyshev, chebval
 from scipy.optimize import brentq
 
 from .dh import TorusWeight, _panel_nodes, _peak_end
@@ -46,6 +58,10 @@ from .surfaces import CP1, SurfaceSpec
 T_GAUSS_NODES = 32
 TAU_PANELS = 64
 DEFAULT_DEG = 96
+# t-nodes per batched composition: an (8 x 1024) array takes 64 KB; one
+# batch of all 32 rows (262 KB arrays) was no faster and raised the peak
+# resident memory of a run by 1.3 MB
+_T_BLOCK = 8
 
 _TX, _TW = np.polynomial.legendre.leggauss(T_GAUSS_NODES)
 
@@ -68,37 +84,48 @@ class SymplecticPotential:
 
     @classmethod
     def from_profile(cls, profile, m: float) -> "SymplecticPotential":
-        """Legendre-side potential of a positive, boundary-compatible profile."""
+        """Legendre-side potential of a positive, boundary-compatible profile.
+
+        The smooth part interpolates h = 1/phi - (canonical U'') at degree
+        DEFAULT_DEG, integrated twice, and is chopped where its coefficients
+        reach their rounding plateau (`_chopped`).
+        """
         m = float(m)
         width = 2.0 * m
 
         def h(t):
             t = np.asarray(t, dtype=float)
-            phi = np.asarray(profile.value(t), dtype=float)
+            with np.errstate(all="ignore"):
+                phi = np.asarray(profile.value(t), dtype=float)
+            if not np.all(np.isfinite(phi)):
+                raise EvaluationError(f"the profile is not finite on the interval at m={m!r}")
             if np.any(phi[(t > 0) & (t < width)] <= 0.0):
                 raise DomainError("profile must be positive on the open interval")
             return 1.0 / phi - 0.5 * (1.0 / t + 1.0 / (width - t))
 
         # interpolation nodes stay interior, so the cancelled singularity is
         # never evaluated at the endpoints
-        smooth2 = Chebyshev.interpolate(h, DEFAULT_DEG, domain=[0.0, width])
-        return cls(m, smooth2.integ(2, lbnd=m))
+        smooth = Chebyshev.interpolate(h, DEFAULT_DEG, domain=[0.0, width]).integ(2, lbnd=m)
+        # the canonical part is convex with its least value m log m at tau = m
+        # and its largest m log 2m at the ends
+        return cls(m, _chopped(smooth, max(abs(m * np.log(m)), abs(m * np.log(width)))))
 
     def _parts(self, t, order):
         t = np.asarray(t, dtype=float)
         w = 2.0 * self.m
-        if order == 0:
-            tlog = np.where(t > 0.0, t * np.log(np.where(t > 0, t, 1.0)), 0.0)
-            wlog = np.where(t < w, (w - t) * np.log(np.where(t < w, w - t, 1.0)), 0.0)
-            return 0.5 * (tlog + wlog)
-        if order == 1:
-            return 0.5 * (np.log(t) - np.log(w - t))
-        if order == 2:
-            return 0.5 * (1.0 / t + 1.0 / (w - t))
-        if order == 3:
-            return 0.5 * (-1.0 / t ** 2 + 1.0 / (w - t) ** 2)
-        if order == 4:
-            return 0.5 * (2.0 / t ** 3 + 2.0 / (w - t) ** 3)
+        with np.errstate(all="ignore"):  # a non-finite jet is reported by `jet`
+            if order == 0:
+                tlog = np.where(t > 0.0, t * np.log(np.where(t > 0, t, 1.0)), 0.0)
+                wlog = np.where(t < w, (w - t) * np.log(np.where(t < w, w - t, 1.0)), 0.0)
+                return 0.5 * (tlog + wlog)
+            if order == 1:
+                return 0.5 * (np.log(t) - np.log(w - t))
+            if order == 2:
+                return 0.5 * (1.0 / t + 1.0 / (w - t))
+            if order == 3:
+                return 0.5 * (-1.0 / t ** 2 + 1.0 / (w - t) ** 2)
+            if order == 4:
+                return 0.5 * (2.0 / t ** 3 + 2.0 / (w - t) ** 3)
         raise ValueError(order)
 
     @cached_property
@@ -130,7 +157,11 @@ class SymplecticPotential:
 
     def jet(self, t):
         """(U'', U''', U'''') at the points t, stacked in one array."""
-        return np.array([self.d2(t), self.d3(t), self.d4(t)])
+        jet = np.array([self.d2(t), self.d3(t), self.d4(t)])
+        if not np.all(np.isfinite(jet)):
+            raise EvaluationError(
+                f"the potential's jet (U'', U''', U'''') is not finite at m={self.m!r}")
+        return jet
 
     def plus_smooth(self, extra: Chebyshev) -> "SymplecticPotential":
         return SymplecticPotential(self.m, self.smooth + extra)
@@ -138,6 +169,44 @@ class SymplecticPotential:
     def smooth_max_dslope(self) -> float:
         ts = np.linspace(0.0, 2.0 * self.m, 257)
         return float(np.max(np.abs(self._smooth_derivs[0](ts))))
+
+
+def _chopped(series: Chebyshev, scale: float) -> Chebyshev:
+    """The series cut where its coefficients reach their rounding plateau.
+
+    standardChop of Aurentz and Trefethen ("Chopping a Chebyshev series",
+    ACM TOMS 2017) at machine epsilon, measured against the larger of the
+    coefficients and `scale`: a series that is all rounding next to scale
+    becomes a constant.
+    """
+    coef = series.coef
+    top = float(np.max(np.abs(coef)))
+    tol = np.finfo(float).eps * max(1.0, scale / top) if top > 0.0 else 1.0
+    n = len(coef)
+    if tol >= 1.0:
+        return Chebyshev(coef[:1], domain=series.domain)
+    if n < 17:
+        return series
+    # the envelope: the largest magnitude from each coefficient on, normalized
+    env = np.maximum.accumulate(np.abs(coef)[::-1])[::-1] / top
+    # a plateau starts at j (counted from 1) where the envelope stops falling
+    for j in range(2, n + 1):
+        j2 = math.floor(1.25 * j + 5.5)
+        if j2 > n:
+            return series
+        e1, e2 = env[j - 1], env[j2 - 1]
+        if e1 == 0.0 or e2 / e1 > 3.0 * (1.0 - np.log(e1) / np.log(tol)):
+            break
+    if env[j - 2] == 0.0:
+        return Chebyshev(coef[:j - 1], domain=series.domain)
+    # cut where the envelope, tilted toward the low degrees, is least
+    floor = tol ** (7.0 / 6.0)
+    j3 = int(np.sum(env >= floor))
+    if j3 < j2:
+        j2 = j3 + 1
+        env[j2 - 1] = floor
+    tilted = np.log10(env[:j2]) + np.linspace(0.0, -np.log10(tol) / 3.0, j2)
+    return Chebyshev(coef[:max(int(np.argmin(tilted)), 1)], domain=series.domain)
 
 
 class PotentialProfile:
@@ -298,7 +367,13 @@ def _path_energies(spec: SurfaceSpec, w: TorusWeight, lam: float, path, t_grid):
         u_jet, vel = jets(t)
         return _inner_product(spec, w, lam, _phi_jet(u_jet, t), vel, grid)
 
-    return _t_integrals(rate, t_grid)
+    # phi's jet overflows where U'' nears the float range's ends (m = 1e+-300):
+    # one check of the energies, not one per t-node
+    with np.errstate(all="ignore"):
+        energies = _t_integrals(rate, t_grid)
+    if not np.all(np.isfinite(energies)):
+        raise EvaluationError(f"the path energy is not finite at m={spec.m!r}")
+    return energies
 
 
 def muk_energy_path(spec: SurfaceSpec, w: TorusWeight, lam: float, path) -> float:
@@ -318,44 +393,95 @@ def muk_energy_endpoint_derivative(
 # -- moment-map composition -----------------------------------------------------------------
 
 
-def invert_uprime(pot: SymplecticPotential, targets):
-    """Solve U'(tau) = target for tau, vectorized.
+def _newton_slope(d1, d2, width, targets, y, bound):
+    """tau in (0, width) with U'(tau) = targets, by Newton from y.
 
-    Parametrize tau = 2m sigmoid(y); then U'(tau(y)) = y/2 + smooth'(tau(y))
-    is strictly increasing in y, Newton converges from y = 2 target, and the
-    iterate stays inside the open interval by construction.
+    tau = width sigmoid(y), so U'(tau(y)) = y/2 + smooth'(tau(y)) is
+    strictly increasing in y and every iterate stays inside the open
+    interval.  d1 and d2 hold the Chebyshev coefficients of smooth' and
+    smooth'' on [0, width] along their first axis; their other axes
+    broadcast against targets, so one call solves a batch of potentials,
+    one series each.  A point that misses the 1e-13 test after 60 steps is
+    solved by brentq on [2 (target - M), 2 (target + M)], M = bound() + 1
+    with bound() >= max |smooth'|.
     """
-    targets = np.asarray(targets, dtype=float)
-    width = 2.0 * pot.m
-    sp1, sp2 = pot._smooth_derivs[:2]
+    targets, y = np.broadcast_arrays(np.asarray(targets, dtype=float), np.asarray(y, dtype=float))
+    scl = 2.0 / width  # the map of [0, width] onto the series' window [-1, 1]
 
     def tau_of(y):
         return width / (1.0 + np.exp(-y))
 
-    y = 2.0 * targets
+    def series(c, tau):
+        return chebval(-1.0 + scl * tau, c, tensor=False)
+
     ok = np.zeros(targets.shape, dtype=bool)
     for _ in range(60):
         tau = tau_of(y)
-        F = 0.5 * y + sp1(tau) - targets
+        F = 0.5 * y + series(d1, tau) - targets
         ok = np.abs(F) <= 1e-13 * np.maximum(1.0, np.abs(targets))
         if np.all(ok):
             break
-        dtau_dy = tau * (1.0 - tau / width)
-        dF = 0.5 + sp2(tau) * dtau_dy
+        dF = 0.5 + series(d2, tau) * tau * (1.0 - tau / width)
         step = np.where(ok, 0.0, F / np.maximum(dF, 1e-3))
         y = y - np.clip(step, -5.0, 5.0)
     if not np.all(ok):
-        M = pot.smooth_max_dslope() + 1.0
-        for i in np.nonzero(~ok)[0]:
-            g = lambda yy: 0.5 * yy + float(sp1(tau_of(yy))) - targets[i]  # noqa: E731
-            y[i] = brentq(g, 2.0 * (targets[i] - M), 2.0 * (targets[i] + M), xtol=1e-14)
+        y, M = np.array(y), bound() + 1.0
+        per_point = np.broadcast_to(d1.reshape(d1.shape + (1,) * (1 + targets.ndim - d1.ndim)),
+                                    d1.shape[:1] + targets.shape)
+        for i in map(tuple, np.argwhere(~ok)):
+            c, target = per_point[(slice(None),) + i], targets[i]
+            g = lambda yy: 0.5 * yy + float(series(c, tau_of(yy))) - target  # noqa: E731
+            y[i] = brentq(g, 2.0 * (target - M), 2.0 * (target + M), xtol=1e-14)
     return tau_of(y)
+
+
+def invert_uprime(pot: SymplecticPotential, targets):
+    """Solve U'(tau) = target for tau, vectorized: Newton from y = 2 target,
+    where U'(tau(y)) - target is y/2 + smooth' - target (`_newton_slope`)."""
+    targets = np.asarray(targets, dtype=float)
+    d1, d2 = (d.coef for d in pot._smooth_derivs[:2])
+    return _newton_slope(d1, d2, 2.0 * pot.m, targets, 2.0 * targets, pot.smooth_max_dslope)
 
 
 def compose_moment_maps(u_from: SymplecticPotential, u_to: SymplecticPotential, taus):
     """tau_to(tau_from): the to-side momentum of the point with from-side
     momentum tau, i.e. (U_to')^{-1} (U_from')."""
     return invert_uprime(u_to, u_from.d1(taus))
+
+
+def _compositions_along(u0: SymplecticPotential, u1: SymplecticPotential, nodes, ts):
+    """The moment maps composed between U_0 and each U_t = (1 - t) U_0 + t U_1,
+    for all times ts at once: (tau_t, sigma_t), arrays of shape (len(ts),
+    len(nodes)) with U_t'(tau_t) = U_0'(nodes) and U_0'(sigma_t) = U_t'(nodes).
+
+    U_t' is the canonical part's slope plus the series (1 - t) c_0 + t c_1
+    of the smooth slopes, one row per time, and U_t'(nodes) is the same
+    combination of the endpoints' slopes there.  Both solutions are the
+    nodes at t = 0, and both Newton solves start one tangent step in t
+    from there: differentiating U_t'(tau_t) = U_0'(nodes) and U_0'(sigma_t)
+    = U_t'(nodes) at t = 0 gives dy/dt = -g and +g with g = (smooth_1' -
+    smooth_0') / (dU_0'/dy) at the nodes, in the Newton variable y.
+    """
+    width = 2.0 * u0.m
+    t = np.asarray(ts, dtype=float)[:, None]
+    s0, s1 = u0._smooth_derivs, u1._smooth_derivs
+
+    def row_series(k):
+        a, b = s0[k].coef, s1[k].coef
+        n = max(len(a), len(b))
+        rows = (1.0 - t) * np.pad(a, (0, n - len(a))) + t * np.pad(b, (0, n - len(b)))
+        return rows.T[:, :, None]
+
+    def bound():
+        return max(u0.smooth_max_dslope(), u1.smooth_max_dslope())
+
+    y0 = np.log(nodes) - np.log(width - nodes)
+    g = (s1[0](nodes) - s0[0](nodes)) / (0.5 + s0[1](nodes) * nodes * (1.0 - nodes / width))
+    slope0, slope1 = u0.d1(nodes), u1.d1(nodes)
+    tau_t = _newton_slope(row_series(0), row_series(1), width, slope0, y0 - t * g, bound)
+    sigma_t = _newton_slope(s0[0].coef, s0[1].coef, width, (1.0 - t) * slope0 + t * slope1,
+                            y0 + t * g, u0.smooth_max_dslope)
+    return tau_t, sigma_t
 
 
 # -- the endpoint-entropy route ----------------------------------------------------------------
@@ -380,7 +506,8 @@ def muk_energy_chen_tian(spec: SurfaceSpec, w: TorusWeight, lam: float, u0, u1) 
 
     The curvature integral is traded for the relative entropy of the two
     weighted measures; the remaining terms stay as t-integrals but involve
-    only reference-metric data composed through the moment maps.
+    only reference-metric data composed through the moment maps, _T_BLOCK
+    Gauss times at once (one row per time).
     """
     chi = w.chi
     nodes, q = _weight_data(spec, w)
@@ -388,26 +515,25 @@ def muk_energy_chen_tian(spec: SurfaceSpec, w: TorusWeight, lam: float, u0, u1) 
     _, box0 = mu_curvatures(spec, chi, lam, nodes, _phi_jet(u0.jet(nodes)))
     sbar0 = q @ box0
     theta_bar = -chi * (q @ nodes)
-
-    path = GeodesicPath(u0, u1)
     entropy = relative_entropy(spec, w, u0, u1)
 
-    def rate(t):
-        pot = path.at(t)
-        vel = path.velocity(t)
+    vel = u1.smooth - u0.smooth
+    phidot = -vel(nodes)
+    base_int = q @ phidot
+    theta_int = q @ (-chi * nodes * phidot)
+    # the sbar/lam terms: g_t-momentum integrals of the t-independent phi-dot
+    rest = sbar0 * base_int + lam * (theta_int - theta_bar * base_int)
+    total = 0.0
+    for block in np.split(np.arange(T_GAUSS_NODES), T_GAUSS_NODES // _T_BLOCK):
+        tau_t, sigma_t = _compositions_along(u0, u1, nodes, 0.5 * (_TX[block] + 1.0))
         # two-form piece: base-momentum integral against the weight of g_t;
         # the line's density is 1, so that weight is q e^{-chi (tau_t - tau)}
-        tau_t = compose_moment_maps(u0, pot, nodes)
-        two_form = q @ (-vel(tau_t) * np.exp(-chi * (tau_t - nodes)) * box0)
-        # zero-form piece and the sbar/lam terms: g_t-momentum integrals
-        f0, f0p, _ = _phi_jet(u0.jet(compose_moment_maps(pot, u0, nodes)))
-        phidot = -vel(nodes)
-        zero_form = q @ (phidot * (chi * f0p - chi ** 2 * f0))
-        base_int = q @ phidot
-        theta_int = q @ (-chi * nodes * phidot)
-        return -(two_form + zero_form) + sbar0 * base_int + lam * (theta_int - theta_bar * base_int)
-
-    return entropy + float(_t_integrals(rate, [1.0])[0])
+        two_form = (-vel(tau_t) * np.exp(-chi * (tau_t - nodes)) * box0) @ q
+        # zero-form piece: g_t-momentum integral
+        f0, f0p, _ = _phi_jet(u0.jet(sigma_t))
+        zero_form = (phidot * (chi * f0p - chi ** 2 * f0)) @ q
+        total += 0.5 * _TW[block] @ (rest - (two_form + zero_form))
+    return entropy + float(total)
 
 
 # -- convexity and the geodesic equation ---------------------------------------------------------

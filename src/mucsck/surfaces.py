@@ -138,6 +138,8 @@ class SurfaceSpec:
         coeffs = tuple(base + eps * bump)
         prof = PolynomialProfile(coeffs, (lo, hi))
         ts = np.linspace(lo, hi, 2001)[1:-1]
-        if np.any(prof.value(ts) <= 0):
+        with np.errstate(all="ignore"):  # an overflow is reported where the profile is used
+            vals = prof.value(ts)
+        if np.any(vals <= 0):
             raise ValueError(f"eps={eps} destroys positivity of the perturbed profile")
         return prof

@@ -217,3 +217,17 @@ def tau0_sign_polynomials(chi: float):
     gamma = (-chi ** 3 + 2 * chi ** 2 - 2 * chi) * e + (3 * chi ** 3 - 6 * chi ** 2 + 2 * chi)
     delta = (-chi ** 2 + 4 * chi - 2) * e + (-6 * chi ** 3 + 13 * chi ** 2 - 8 * chi + 2)
     return alpha, beta, gamma, delta
+
+
+def inverse_polynomial_jet(coeffs, t, dps=40):
+    """(1/p, (1/p)', (1/p)'') at t in dps digits for p = sum coeffs[i] t^i.
+
+    With the coefficients and t taken as exact, these are U'', U''' and U''''
+    of the symplectic potential of the profile p.
+    """
+    with mp.workdps(dps):
+        cs, x = [mpf(float(c)) for c in coeffs], mpf(float(t))
+        p = sum(c * x ** i for i, c in enumerate(cs))
+        p1 = sum(i * c * x ** (i - 1) for i, c in enumerate(cs) if i >= 1)
+        p2 = sum(i * (i - 1) * c * x ** (i - 2) for i, c in enumerate(cs) if i >= 2)
+        return 1 / p, -p1 / p ** 2, -p2 / p ** 2 + 2 * p1 ** 2 / p ** 3

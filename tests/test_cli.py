@@ -330,6 +330,23 @@ def test_non_finite_output_exits_3_without_a_file(tmp_path, capsys, m, endpoint,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("cfg, quantity", [
+    ({"surface": {"kind": "CP1", "m": 1e-300}, "endpoint": {"kind": "fs"}}, "U''"),
+    ({"surface": {"kind": "CP1", "m": 1e-300}, "endpoint": {"kind": "perturbed"}}, "U''"),
+    ({"surface": {"kind": "CP1", "m": 1e300}, "endpoint": {"kind": "fs"}}, "path energy"),
+    ({"surface": {"kind": "CP1", "m": 1e300}, "endpoint": {"kind": "perturbed"}}, "profile"),
+    ({"surface": CP1, "lambda": 1.0, "chi": 1e300}, "chi"),
+], ids=["tiny-m-fs", "tiny-m-perturbed", "huge-m-fs", "huge-m-perturbed", "huge-chi"])
+def test_energy_on_extreme_input_fails_in_one_line(tmp_path, capsys, cfg, quantity):
+    # one stderr line that names what is not finite, and no numpy warning first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run(tmp_path, "energy", dict(cfg, t_grid=[0.0, 1.0]))
+    assert code == 3 and not out.exists()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("numerical failure") and quantity in err[0]
+
+
 @pytest.mark.parametrize("command, cfg", [
     ("muvol", {"surface": CP1, "lambda": 1.0, "chi_grid": [1e300]}),
     ("futaki", {"surface": CP1, "lambda": 1.0, "chi": 1e300}),

@@ -161,6 +161,19 @@ def test_helpers_read_one_row_of_the_moment_kernel(monkeypatch):
     assert rows == [1, 1, 1]
 
 
+def test_a_helper_call_builds_the_peak_end_stack_only(monkeypatch):
+    # one chi reads one end of the interval, so a helper call builds that
+    # end's stack and no other
+    import mucsck.dh as dh
+
+    built = []
+    stacks = dh._end_stacks
+    monkeypatch.setattr(dh, "_end_stacks", lambda *a: built.append(stacks(*a)) or built[-1])
+    for chi in (0.7, -0.7):
+        weighted_average(RULED, np.cos, TorusWeight(chi))
+    assert [[end is not None for end in b[1]] for b in built] == [[True, False], [False, True]]
+
+
 def test_variance_uniform():
     assert variance(DHMeasure(0.0, 2.0, (1.0,), 1.0), TorusWeight(0.0)) == pytest.approx(
         1.0 / 3.0, rel=1e-12

@@ -2,7 +2,9 @@ import warnings
 
 import numpy as np
 import pytest
+from mpmath import mpf
 from numpy.polynomial.chebyshev import Chebyshev
+from oracles import inverse_polynomial_jet
 
 from mucsck.dh import TorusWeight
 from mucsck.energy import (
@@ -65,6 +67,28 @@ def test_fubini_study_potential_is_canonical():
     ts = np.linspace(0.05, 1.95, 101)
     canon = SymplecticPotential.canonical(1.0)
     assert np.allclose(U_FS.d2(ts), canon.d2(ts), rtol=1e-12)
+
+
+def test_fubini_study_smooth_part_chops_to_a_constant():
+    # h = 1/phi - (canonical U'') vanishes for Fubini-Study, so its series is
+    # all rounding next to the canonical part
+    assert len(U_FS.smooth.coef) <= 3
+
+
+def test_potential_jets_match_40_digit_derivatives(rng):
+    # (U'', U''', U'''') against 1/phi and its derivatives in 40 digits, at
+    # interior points; the unchopped degree-96 series was off by up to 5e-11,
+    # 1e-8 and 6e-6, its rounding tail amplified by each derivative
+    profiles = [SPEC.perturbed_profile(0.05)] + [random_admissible_profile(rng) for _ in range(6)]
+    ts = np.linspace(0.05, 1.95, 39)
+    worst = np.zeros(3)
+    for prof in profiles:
+        jet = potential_from_profile(prof, SPEC).jet(ts)
+        for j, t in enumerate(ts):
+            exact = inverse_polynomial_jet(prof.coeffs, t)
+            errors = [abs(float(e - mpf(float(g)))) for e, g in zip(exact, jet[:, j])]
+            worst = np.maximum(worst, errors)
+    assert worst[0] <= 5e-12 and worst[1] <= 5e-10 and worst[2] <= 1e-8, worst
 
 
 def test_round_trip_fubini_study():
@@ -222,6 +246,32 @@ def test_two_routes_agree_on_random_pairs(rng):
         m_ct = muk_energy_chen_tian(SPEC, w, lam, u0, u1)
         assert abs(m_path - m_ct) <= 1e-6
         assert relative_entropy(SPEC, w, u0, u1) >= 0.0
+
+
+def test_two_routes_agree_to_rounding_on_random_pairs(rng):
+    # the pairs of test_two_routes_agree_on_random_pairs; measured worst 2.9e-14
+    for k in range(10):
+        u0 = potential_from_profile(random_admissible_profile(rng), SPEC)
+        u1 = potential_from_profile(random_admissible_profile(rng), SPEC)
+        w, lam = TorusWeight(rng.uniform(-1.5, 1.5)), rng.uniform(-2.0, 6.0)
+        m_path = muk_energy_path(SPEC, w, lam, GeodesicPath(u0, u1))
+        assert abs(m_path - muk_energy_chen_tian(SPEC, w, lam, u0, u1)) <= 1e-12
+
+
+def test_chen_tian_composes_blocks_of_times_in_batched_newton_solves(rng, monkeypatch):
+    # the 32 t-nodes' moment maps come from two Newton solves per block of
+    # _T_BLOCK t-nodes, plus one for the entropy (65 solves, two per t-node,
+    # before the batching); the route never builds the potential at a time t
+    import mucsck.energy as energy
+
+    solves, times = [], []
+    newton, at = energy._newton_slope, GeodesicPath.at
+    monkeypatch.setattr(energy, "_newton_slope", lambda *a: solves.append(a) or newton(*a))
+    monkeypatch.setattr(GeodesicPath, "at", lambda self, t: times.append(t) or at(self, t))
+    u1 = potential_from_profile(random_admissible_profile(rng), SPEC)
+    muk_energy_chen_tian(SPEC, TorusWeight(0.7), 2.0, U_FS, u1)
+    assert len(solves) == 1 + 2 * energy.T_GAUSS_NODES // energy._T_BLOCK and times == []
+    assert {np.shape(args[4]) for args in solves[1:]} == {(energy._T_BLOCK, 1024)}
 
 
 def test_chen_tian_equal_endpoints_zero():

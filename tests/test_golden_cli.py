@@ -25,7 +25,21 @@ was unified, except:
   again when the energy averages became one normalized weight vector q @ f
   (M(0.25), M(0.5), M(0.75) and M(1) moved by -2.7e-19, -6.5e-19, -8.7e-19
   and -7.6e-19, the second differences by at most 3.3e-19; the two energy
-  routes agree to 2.31e-16 on this config, 2.30e-16 before);
+  routes agree to 2.31e-16 on this config, 2.30e-16 before); and again
+  when the potentials' Chebyshev series came to be chopped at their
+  rounding plateau (the endpoint's 99 coefficients -> 15): M(0.25), M(0.5),
+  M(0.75) and M(1) moved by +1.05e-17, +1.48e-17, +2.39e-17 and +3.21e-17,
+  the second differences by -6.2e-18, +4.8e-18 and -8.7e-19.  The oracle
+  is the same tau and t rules (float nodes and weights taken as exact) in
+  40 digits, with the endpoint's smooth part from the cancellation-free
+  h = -eps m^2 / (1 + eps m tau (2m - tau)): M is 5.60e-16, 1.12e-15,
+  1.67e-15 and 2.23e-15 above it (5.49e-16, 1.10e-15, 1.65e-15 and
+  2.20e-15 before), the second differences -3.7e-18, +3.7e-18 and
+  -7.1e-19 off (+2.4e-18, -1.1e-18 and +1.6e-19 before).  Both stay this
+  far off because the profile's monomial form loses 8.7e-10 of 1/phi at
+  the interpolation node next to tau = 2m; with the profile in the
+  factored form tau (2m - tau) (1/m + eps tau (2m - tau)), M(1) is 4.5e-17
+  off the oracle (6.3e-17 before the chop);
 * `phase_cp1.json`, rewritten when the phase layer moved onto the cached
   obstruction curve: the origin at lambda = 4 became "muvol_max" (the
   closed form mu_vol = 2/m - x^4 / (45 m) + O(x^6) has a maximum there) and
