@@ -17,11 +17,14 @@ the powers of u = tau - ref up to u^3, A, B0, B, C, (A, B, C) times u and
 u^2, and phi.  The moment kernel `dh._end_moments` returns their log-mass
 and weighted averages for a whole array of chi at once, and every
 functional is a closed expression in those moments: theta_bar, sbar,
-log_vol, mu_vol, futaki, d_mu_vol, nu, lambda_xi, d2_mu_vol, stats0,
-lambda_inf, W_check, properness_slope, the obstruction curve F0 + lam F1 on
-SCAN_GRID and mu_vol_profile on any chi array.  Its roots are the solver's
-(`obstruction_root`, used by `solver.solve_chi` and `path.trace`) and the
-critical points (`find_critical`).  The columns are centred near the
+log_vol, mu_vol, futaki, nu, lambda_xi, d2_mu_vol, stats0, lambda_inf,
+W_check, properness_slope, the obstruction curve F0 + lam F1 on SCAN_GRID
+and mu_vol_profile on any chi array.  The roots of F = F0 + lam F1 are both
+the solver's and the critical points: `critical_brackets` reads one sorted
+list of brackets off the curve, which `find_critical`, `path.trace` and the
+phase layer share, and `obstruction_root` (also used by `solver.solve_chi`)
+is the one brentq over F, so a critical point and a traced root in the
+same bracket are the same float.  The columns are centred near the
 weighted mean (u at the end where the weight peaks, `dh._peak_end`, and A,
 B and C at their values there), which is the shifted one-pass
 formula of Chan, Golub and LeVeque, so a covariance such as avg(s tau) -
@@ -46,6 +49,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from collections import namedtuple
 from dataclasses import asdict, dataclass
 from functools import cached_property
@@ -125,8 +129,13 @@ class FunctionalContext:
     def _moments(self, chis) -> _Moments:
         """The moments at chis, a float or a 1-D array; the fields take its shape."""
         c = np.atleast_1d(np.asarray(chis, dtype=float))
-        if not np.all(np.isfinite(c)):
-            raise ValueError(f"chi must be finite, got {c[~np.isfinite(c)][0]}")
+        # the functionals take chi ** 2 (s^0 = A + chi B + chi^2 C)
+        ok = np.abs(c) <= math.sqrt(sys.float_info.max)
+        if not ok.all():
+            bad = float(c[~ok][0])
+            if not math.isfinite(bad):
+                raise ValueError(f"chi must be finite, got {bad}")
+            raise EvaluationError(f"chi ** 2 leaves the float range at chi={bad!r}")
         stacks, a_ends = self._stacks
         log_mass, avgs = _end_moments(stacks, c)
         end = _peak_end(c)
@@ -148,7 +157,7 @@ class FunctionalContext:
 
     @cached_property
     def obstruction_curve(self):
-        """(F0, F1) on SCAN_GRID: F0 + lam F1 is d_mu_vol in the unit direction."""
+        """(F0, F1) on SCAN_GRID: F0 + lam F1 is futaki in the unit direction."""
         return _obstruction(self._moments(SCAN_GRID))
 
     def with_profile(self, profile) -> "FunctionalContext":
@@ -190,7 +199,7 @@ def _s0(m):
 
 
 def _obstruction(m):
-    """(F0, F1) with d_mu_vol = chi_dir (F0 + lam F1), the Futaki invariant
+    """(F0, F1) with futaki = chi_dir (F0 + lam F1), the Futaki invariant
     -cov(s^lam, tau): F0 = -cov(s^0, tau), F1 = -chi var(tau)."""
     f0 = _s0(m) * m.t1 - (m.at + m.chi * m.bt + m.chi ** 2 * m.ct)
     return f0, -m.chi * _var(m)
@@ -226,7 +235,7 @@ def _mu_vol(m, lam, n):
 
 
 def _d_mu_vol_unit(ctx: FunctionalContext, chi: float, lam: float) -> float:
-    """d_mu_vol at one chi in the unit direction: the scalar that brentq refines."""
+    """futaki at one chi in the unit direction: the scalar that brentq refines."""
     f0, f1 = _obstruction(ctx._moments(chi))
     return float(f0 + lam * f1)
 
@@ -273,7 +282,8 @@ def mu_vol_profile(ctx: FunctionalContext, chis, lam: float):
 
 def futaki(ctx: FunctionalContext, w_base: TorusWeight, w_dir: TorusWeight, lam: float) -> float:
     """Obstruction functional: weighted average of shat * theta_dir, shat the
-    weighted curvature s^lam centred to weighted mean zero."""
+    weighted curvature s^lam centred to weighted mean zero; the directional
+    derivative of log Vol^lam at w_base along w_dir."""
     return w_dir.chi * _d_mu_vol_unit(ctx, w_base.chi, lam)
 
 
@@ -281,11 +291,6 @@ def nu(ctx: FunctionalContext, w_base: TorusWeight, w_dir: TorusWeight) -> float
     """Weighted variance of theta_dir; positive for every nonzero direction."""
     var = _var(ctx._moments(w_base.chi))  # refuses an extreme chi before chi ** 2 overflows
     return float(w_dir.chi ** 2 * var)
-
-
-def d_mu_vol(ctx: FunctionalContext, w: TorusWeight, lam: float, w_dir: TorusWeight) -> float:
-    """Directional derivative of log Vol^lam (the obstruction functional)."""
-    return w_dir.chi * _d_mu_vol_unit(ctx, w.chi, lam)
 
 
 def d2_mu_vol(ctx: FunctionalContext, w: TorusWeight, lam: float, w_dir: TorusWeight) -> float:
@@ -365,34 +370,30 @@ def lambda_hat(ctx: FunctionalContext, ray_sign: int, r: float) -> float:
 
 
 def critical_brackets(ctx: FunctionalContext, lam: float):
-    """Where SCAN_GRID meets the critical points of log Vol^lam.
+    """Where SCAN_GRID meets the critical points of log Vol^lam, as one sorted
+    list of (lo, hi) pairs.
 
-    Returns the indices at which F = F0 + lam F1 vanishes (to 1e-11 of
-    |F0| + |lam F1|, the size of the terms it cancels) and the left ends i of
-    the intervals [i, i + 1] on which it changes sign between two nonzero
-    values.
+    A grid point g at which F = F0 + lam F1 vanishes (to 1e-11 of |F0| +
+    |lam F1|, the size of the terms it cancels) is (g, g); two neighbours
+    between which F changes sign, both nonzero, are (g_i, g_i+1).
     """
     f0, f1 = ctx.obstruction_curve
     vals = f0 + lam * f1
     zero = np.abs(vals) <= 1e-11 * (np.abs(f0) + np.abs(lam * f1))
-    change = (np.sign(vals[:-1]) * np.sign(vals[1:]) < 0) & ~zero[:-1] & ~zero[1:]
-    return np.flatnonzero(zero), np.flatnonzero(change)
-
-
-def _brent(f, lo: float, hi: float, **tol) -> float:
-    """brentq on f over [lo, hi]; its stop after 100 steps is a BracketError."""
-    try:
-        return float(brentq(f, lo, hi, **tol))
-    except RuntimeError as exc:
-        raise BracketError(f"no root found on [{lo}, {hi}]: {exc}") from exc
+    # change[i]: F changes sign on [g_i, g_i+1]; never at a zero's index
+    change = np.append((np.sign(vals[:-1]) * np.sign(vals[1:]) < 0) & ~zero[:-1] & ~zero[1:],
+                       False)
+    lo = np.flatnonzero(zero | change)
+    return list(zip(SCAN_GRID[lo].tolist(), SCAN_GRID[lo + change[lo]].tolist()))
 
 
 def obstruction_root(ctx: FunctionalContext, lam: float, bracket) -> float:
     """The root of F = F0 + lam F1 in the bracket, to the resolution of chi.
 
-    F is d_mu_vol in the unit direction, chi var(tau) (lambda_xi - lam): its
-    nonzero roots are the solver's (see `solver`).  Raises BracketError unless
-    F changes sign on the bracket or vanishes at one of its ends.
+    F is futaki in the unit direction, chi var(tau) (lambda_xi - lam): its
+    nonzero roots are the solver's (see `solver`) and the critical points.
+    Raises BracketError unless F changes sign on the bracket or vanishes at
+    one of its ends, and when brentq stops after its 100 steps.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     # cached, so that brentq reuses the two end values read here
@@ -400,38 +401,28 @@ def obstruction_root(ctx: FunctionalContext, lam: float, bracket) -> float:
     if np.sign(f(lo)) * np.sign(f(hi)) > 0:
         raise BracketError(f"the obstruction has no sign change on [{lo}, {hi}] "
                            f"(F({lo})={f(lo):.3g}, F({hi})={f(hi):.3g})")
-    # xtol is one ulp's worth at the smallest chi the solver tells from 0
-    return _brent(f, lo, hi, xtol=CHI_ZERO_THRESHOLD * 2.0 ** -52, rtol=4.0 * 2.0 ** -52)
+    try:
+        # xtol is one ulp's worth at the smallest chi the solver tells from 0
+        return float(brentq(f, lo, hi, xtol=CHI_ZERO_THRESHOLD * 2.0 ** -52,
+                            rtol=4.0 * 2.0 ** -52))
+    except RuntimeError as exc:
+        raise BracketError(f"no root found on [{lo}, {hi}]: {exc}") from exc
 
 
 def find_critical(ctx: FunctionalContext, lam: float):
     """All roots of the log-volume chi-derivative in SCAN_GRID's window.
 
-    The grid's zeros of the cached obstruction curve are roots; each of its
-    sign changes is refined by brentq on the kernel's obstruction at one chi.
+    Each grid zero of `critical_brackets` is a root, and each of its sign
+    changes holds the `obstruction_root` there.
     """
-    zeros, changes = critical_brackets(ctx, lam)
-    roots = [float(SCAN_GRID[i]) for i in zeros]
-    if len(changes):
-        f0, f1 = ctx.obstruction_curve
-        ends = np.r_[changes, changes + 1]
-        row = dict(zip(SCAN_GRID[ends].tolist(), (f0[ends] + lam * f1[ends]).tolist()))
-
-        def f(chi):
-            # next to a zero a single-chi reading can round to the other sign
-            # than the batched row's at a grid point; the row's sign chose
-            # the bracket (it is nonzero there), so the row's value stands
-            val = _d_mu_vol_unit(ctx, chi, lam)
-            return row[chi] if chi in row and not val * row[chi] > 0.0 else val
-
-        roots += [_brent(f, SCAN_GRID[i], SCAN_GRID[i + 1], xtol=1e-12) for i in changes]
+    roots = [lo if lo == hi else obstruction_root(ctx, lam, (lo, hi))
+             for lo, hi in critical_brackets(ctx, lam)]
     if not roots:
         # properness guarantees a minimizer; take the grid point where
         # log Vol is least
         roots.append(float(SCAN_GRID[np.argmin(_log_vol(ctx._moments(SCAN_GRID), lam))]))
-    roots = sorted(roots)
     out = []
-    for rt in roots:
+    for rt in sorted(roots):
         if not out or abs(rt - out[-1]) > 1e-8 * max(1.0, abs(rt)):
             out.append(rt)
     return out
@@ -485,7 +476,7 @@ def vol_report(ctx: FunctionalContext, w: TorusWeight, lam: float) -> VolReport:
 
 
 def futaki_report(ctx: FunctionalContext, w: TorusWeight, lam: float, w_dir: TorusWeight):
-    """(vol_report at w, d_mu_vol at w along w_dir), from one kernel call."""
+    """(vol_report at w, futaki at w along w_dir), from one kernel call."""
     m = ctx._moments(w.chi)
     f0, f1 = _obstruction(m)
     report = VolReport(

@@ -117,18 +117,17 @@ def _branch_root(ctx: FunctionalContext, lam: float, prev: float) -> float:
     root chi = 0 of the line, where the branch merges onto the
     constant-curvature solution.
     """
-    zeros, changes = critical_brackets(ctx, lam)
-    brackets = [(g, g) for g in SCAN_GRID[zeros] if g != 0.0]
-    brackets += [(SCAN_GRID[i], SCAN_GRID[i + 1]) for i in changes]
-    if brackets:
-        lo, hi = min(brackets, key=lambda b: max(b[0] - prev, prev - b[1]))
-        return float(lo) if lo == hi else obstruction_root(ctx, lam, (lo, hi))
+    brackets = critical_brackets(ctx, lam)
+    nonzero = [b for b in brackets if b != (0.0, 0.0)]
+    if nonzero:
+        lo, hi = min(nonzero, key=lambda b: max(b[0] - prev, prev - b[1]))
+        return lo if lo == hi else obstruction_root(ctx, lam, (lo, hi))
     if prev != 0.0:
         try:
             return obstruction_root(ctx, lam, _grown_bracket(ctx, lam, prev))
         except BracketError:
             pass
-    if 0.0 in SCAN_GRID[zeros]:
+    if (0.0, 0.0) in brackets:
         return 0.0
     raise BracketError(f"no root of the obstruction continuous with chi={prev} at lam={lam}")
 
@@ -191,7 +190,7 @@ def extremal_limit_check(spec: SurfaceSpec, lambda_far: float):
 
 def _freeze_bisect(ctx: FunctionalContext, lam_lo: float, lam_hi: float) -> float:
     # len(find_critical(ctx, lam)), read off the cached obstruction curve
-    count = lambda lam: max(1, sum(len(ix) for ix in critical_brackets(ctx, lam)))  # noqa: E731
+    count = lambda lam: max(1, len(critical_brackets(ctx, lam)))  # noqa: E731
     n_lo, n_hi = count(lam_lo), count(lam_hi)
     if (n_lo > 1) == (n_hi > 1):
         raise WindowExhaustedError(

@@ -24,7 +24,7 @@ evaluates a float tau in floats (mp coefficients through a float form
 converted in MP_DPS digits) and an mpf tau in mpmath.
 
 Roots: the residual r and the obstruction F = F0 + lam F1 of `functionals`
-(d_mu_vol in the unit direction) are both affine in lam,
+(futaki in the unit direction) are both affine in lam,
 
     F = chi var(tau) (lambda_xi(chi) - lam),    r = (r1 - r0) (lam - lambda_xi(chi)),
 

@@ -86,6 +86,14 @@ def test_solve_no_root_exits_3(tmp_path):
     assert code == 3
 
 
+def test_solve_degenerate_bracket_off_the_root_exits_3(tmp_path, capsys):
+    # [x, x] brackets a root only where F(x) = 0; at chi = 1, lam = 5 it does not
+    cfg = {"surface": CP1, "lambda": 5.0, "bracket": [1.0, 1.0]}
+    code, out = run(tmp_path, "solve", cfg, fmt="json")
+    assert code == 3 and not out.exists()
+    assert "no sign change" in capsys.readouterr().err
+
+
 def test_path_soliton_row(tmp_path):
     cfg = {"surface": RULED, "lambda_grid": [1.0], "seed_bracket": [-1.0, -0.1]}
     code, out = run(tmp_path, "path", cfg)
@@ -360,6 +368,17 @@ def test_finite_extreme_input_exits_3(tmp_path, capsys, command, cfg):
     code, _ = run(tmp_path, command, cfg)
     assert code == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_futaki_on_extreme_input_fails_in_one_line(tmp_path, capsys):
+    # chi ** 2 leaves the float range while chi * width does not
+    cfg = {"surface": {"kind": "CP1", "m": 1e-160}, "chi": 1e160}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run(tmp_path, "futaki", cfg, fmt="json")
+    assert code == 3 and not out.exists()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("numerical failure") and "chi=" in err[0]
 
 
 @pytest.mark.parametrize("cfg", [

@@ -11,7 +11,6 @@ from mucsck.functionals import (
     FunctionalContext,
     W_check,
     d2_mu_vol,
-    d_mu_vol,
     extremal_chi,
     find_critical,
     futaki,
@@ -164,20 +163,20 @@ def test_d_mu_vol_matches_finite_difference(ctx, rng):
         chi = rng.uniform(-2.0, 2.0)
         lam = rng.uniform(-4.0, 6.0)
         fd = central_diff(lambda c: log_vol(ctx, TorusWeight(c), lam), chi, 1e-5)
-        an = d_mu_vol(ctx, TorusWeight(chi), lam, TorusWeight(1.0))
+        an = futaki(ctx, TorusWeight(chi), TorusWeight(1.0), lam)
         assert an == pytest.approx(fd, rel=1e-6, abs=1e-9)
 
 
 def test_d_mu_vol_zero_at_critical():
     roots = find_critical(CP1, 5.0)
     for root in roots:
-        assert d_mu_vol(CP1, TorusWeight(root), 5.0, TorusWeight(1.0)) == pytest.approx(
+        assert futaki(CP1, TorusWeight(root), TorusWeight(1.0), 5.0) == pytest.approx(
             0.0, abs=1e-9
         )
 
 
 def test_d_mu_vol_origin_line():
-    assert d_mu_vol(CP1, TorusWeight(0.0), 2.0, TorusWeight(1.0)) == pytest.approx(
+    assert futaki(CP1, TorusWeight(0.0), TorusWeight(1.0), 2.0) == pytest.approx(
         0.0, abs=1e-12
     )
 
@@ -188,7 +187,7 @@ def test_d2_mu_vol_matches_finite_difference(ctx, rng):
         chi = rng.uniform(-1.5, 1.5)
         lam = rng.uniform(-4.0, 6.0)
         fd = central_diff(
-            lambda c: d_mu_vol(ctx, TorusWeight(c), lam, TorusWeight(1.0)), chi, 1e-4
+            lambda c: futaki(ctx, TorusWeight(c), TorusWeight(1.0), lam), chi, 1e-4
         )
         an = d2_mu_vol(ctx, TorusWeight(chi), lam, TorusWeight(1.0))
         assert an == pytest.approx(fd, rel=1e-5, abs=1e-8)
@@ -445,7 +444,7 @@ def test_d_mu_vol_closed_form_oracle(m):
     ctx = FunctionalContext(SurfaceSpec.cp1(m))
     for chi in (0.4, -1.1, 2.3):
         for lam in (3.0, 5.0, -1.0):
-            got = d_mu_vol(ctx, TorusWeight(chi), lam, TorusWeight(1.0))
+            got = futaki(ctx, TorusWeight(chi), TorusWeight(1.0), lam)
             assert got == pytest.approx(muvol_cp1_derivative(lam, chi, m), rel=1e-12)
 
 
@@ -550,11 +549,11 @@ def test_kernel_batched_rows_equal_single_calls(spec):
             assert abs(got - expected) <= 1e-15 * abs(expected), (chi, field)
 
 
-def test_find_critical_reads_the_kernel_not_d_mu_vol(monkeypatch):
+def test_find_critical_reads_the_kernel_not_futaki(monkeypatch):
     import mucsck.functionals as fn
 
     calls = []
-    monkeypatch.setattr(fn, "d_mu_vol", lambda *a: calls.append(a) or 0.0)
+    monkeypatch.setattr(fn, "futaki", lambda *a: calls.append(a) or 0.0)
     roots = fn.find_critical(FunctionalContext(SurfaceSpec.cp1(1.0)), 5.0)
     assert len(roots) == 3
     assert calls == []
@@ -566,8 +565,7 @@ def test_find_critical_fallback_is_the_least_log_vol_on_the_grid(monkeypatch):
     import mucsck.functionals as fn
 
     ctx = FunctionalContext(SurfaceSpec.ruled(2, 1, 1.5))
-    none = np.array([], dtype=int)
-    monkeypatch.setattr(fn, "critical_brackets", lambda ctx, lam: (none, none))
+    monkeypatch.setattr(fn, "critical_brackets", lambda ctx, lam: [])
     sizes = []
     kernel = fn._end_moments
     monkeypatch.setattr(fn, "_end_moments",
@@ -590,7 +588,7 @@ def test_muvol_cli_rows_come_from_one_kernel_call(tmp_path, monkeypatch):
         return kernel(stacks, chis)
 
     monkeypatch.setattr(fn, "_end_moments", counting)
-    for name in ("mu_vol", "d_mu_vol"):  # a scalar functional per row would fail
+    for name in ("mu_vol", "futaki"):  # a scalar functional per row would fail
         monkeypatch.setattr(cli, name, None, raising=False)
     grid = list(np.linspace(-3.0, 3.0, 21))
     cfg = tmp_path / "cfg.json"

@@ -28,7 +28,18 @@ when every functional became an expression in the moments of one kernel
 at most 2.0e-11 (the root at lambda = 30 on P(O(1)+O); the 40-digit
 node-sum |F| there fell from 6.8e-13 to 3.6e-16), and the transitions
 toward their closed forms or 40-digit levels (cp1: 4.000000266667439 ->
-4.000000266666665, closed form 4.0000002666666692).  To rewrite it after
+4.000000266666665, closed form 4.0000002666666692).  The "exact" and
+"phase" sections were rewritten again when find_critical came to refine its
+sign changes with `obstruction_root` (xtol one ulp at |chi| = 1e-6, was
+1e-12): 23 of 36 find_critical roots moved, by at most 1.7e-14 absolute
+(2.3e-15 relative), and 34 of 57 phase roots, by at most 2.2e-13 absolute
+(3.3e-12 relative, the muvol_min root at lambda = 10.33 on P(O(1)+O)).
+Against 40-digit roots (on CP1 the closed form behind
+`oracles.muvol_cp1_derivative`, on the ruled surfaces the node-sum futaki of
+`oracles.node_sum_functionals` on the context's rule and profile) the
+largest relative error of a moved root fell from 3.3e-12 to 8.4e-15 (the
+cp1_2.5 root at lambda = 1.67, chi = 0.315, 2.3e-15 before); nothing else
+moved.  To rewrite it after
 an intended output change (which must be recorded with its size in
 CHANGES.md), run
 

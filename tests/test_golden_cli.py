@@ -48,7 +48,12 @@ was unified, except:
   (`dh._end_moments`): transition_lambda, the level at chi = 1e-3, moved
   from 4.000000266667439 to 4.000000266666665 (closed form
   4.0000002666666692), the two roots by 4.4e-15 (3.3e-15 relative, inside
-  brentq's xtol of 1e-12);
+  brentq's xtol of 1e-12); and again when find_critical came to refine its
+  roots with `obstruction_root` (xtol one ulp at |chi| = 1e-6): the root at
+  lambda = 4.5 moved from 1.3601357777228775 to 1.3601357777228817, and its
+  relative distance to the 40-digit root of the closed form behind
+  `oracles.muvol_cp1_derivative` (1.3601357777228829451) fell from 4.0e-15
+  to 8.8e-16;
 * `muvol_cp1.csv` and `futaki_p2_blowup.json`, rewritten with the moment
   kernel: in `muvol_cp1` 107 cells moved, by at most 9.9e-15 of
   max(1, |v|), and the largest error against `muvol_cp1_closed_form` and

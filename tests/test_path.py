@@ -111,6 +111,20 @@ def test_nonzero_criticals_match_solver_roots():
             assert c == pytest.approx(res.chi, abs=1e-8)
 
 
+@pytest.mark.parametrize("spec, grid, seed", [
+    (CP1, [5.0, 6.0, 8.0], (0.1, 5.0)),
+    (P2, np.linspace(-1.0, -8.0, 8), (-1.0, -0.1)),
+], ids=["cp1", "p2_blowup"])
+def test_traced_roots_are_critical_points_bit_for_bit(spec, grid, seed):
+    # after the first point trace takes the obstruction_root of a bracket of
+    # critical_brackets, the one find_critical refines for the same root
+    ctx = FunctionalContext(spec)
+    pts = trace(spec, grid, seed)
+    assert all(p.ok for p in pts)
+    for p in pts[1:]:
+        assert p.chi in find_critical(ctx, p.lam), p.lam
+
+
 @pytest.mark.parametrize("spec", [CP1, SurfaceSpec.cp1(2.5), P2, SurfaceSpec.ruled(2, 1, 1.5),
                                   SurfaceSpec.ruled(3, 0, 0.5)],
                          ids=["cp1", "cp1_2.5", "p2_blowup", "ruled_2_1_1.5", "ruled_3_0_0.5"])
