@@ -26,11 +26,13 @@ that end (h the half panel width, x_j a Gauss node), so the weight factors
 as e^{-chi (tau - ref)} = e^{-|chi| |e_p - ref|} e^{-|chi| h (1 + x_j)}.
 Both exponents are <= 0, so no factor overflows for any finite chi, and a
 chi costs PANELS + GAUSS_NODES exponentials and one product with a stack of
-node columns cached by `_end_stacks`.  The columns are centred at the same
-end, so the moments are the shifted one-pass sums of Chan, Golub and
-LeVeque (Amer. Statist. 1983) and their differences lose no accuracy.  The
-public integrals are readings of one kernel row (`_reading`); a result past
-the float range raises EvaluationError naming chi.
+node columns cached by `_end_stacks`.  When every chi peaks at one end, as a
+single chi always does, the kernel reads that end's stack without masking.
+The columns are centred at the same end, so the moments are the shifted
+one-pass sums of Chan, Golub and LeVeque (Amer. Statist. 1983) and their
+differences lose no accuracy.  The public integrals are readings of one
+kernel row (`_reading`); a result past the float range raises
+EvaluationError naming chi.
 """
 
 from __future__ import annotations
@@ -181,29 +183,32 @@ def _end_moments(stacks, chis):
     The moments at chi are centred at ref, the end `_peak_end(chi)`: the
     log-mass is log(scale int p e^{-chi (tau - ref)}), so log_mass(measure,
     chi) = log-mass - chi ref, and row i of the averages holds the weighted
-    averages of the columns at chis[i] (without column 0).  A vanishing mass
-    or a non-finite average raises EvaluationError naming chi.
+    averages of the columns at chis[i] (without column 0).  Only the stacks
+    of the ends where some chi peaks are read; another may be None.  A
+    vanishing mass or a non-finite average raises EvaluationError naming chi.
     """
     offsets, ends = stacks
     chis = np.asarray(chis, dtype=float)
-    columns = next(e for e in ends if e is not None)[1].shape[1] // GAUSS_NODES
-    sums = np.empty((len(chis), columns))
+    a = np.abs(chis)[:, None]
     peak = _peak_end(chis)
-    for end, built in enumerate(ends):
-        side = peak == end
-        if not side.any():
-            continue
-        dist, stack = built
-        a = np.abs(chis[side])[:, None]
-        with np.errstate(over="ignore"):
-            panel, node = np.exp(-(a * dist)), np.exp(-(a * offsets))
-        by_node = (panel @ stack).reshape(len(a), -1, GAUSS_NODES)
-        sums[side] = np.einsum("nkg,ng->nk", by_node, node)
-    mass = sums[:, 0]
+    negative = np.count_nonzero(peak)
     with np.errstate(all="ignore"):
+        if negative in (0, len(chis)):  # one side, as a single chi always is: no masking
+            end = int(negative > 0)
+            dist, stack = ends[end]
+            panel, node = np.exp(-(a * dist)), np.exp(-(a * offsets))
+            sums = np.einsum("nkg,ng->nk", (panel @ stack).reshape(len(a), -1, GAUSS_NODES), node)
+        else:
+            sums = np.empty((len(chis), ends[0][1].shape[1] // GAUSS_NODES))
+            for end, (dist, stack) in enumerate(ends):
+                side = peak == end
+                panel, node = np.exp(-(a[side] * dist)), np.exp(-(a[side] * offsets))
+                by_node = (panel @ stack).reshape(len(panel), -1, GAUSS_NODES)
+                sums[side] = np.einsum("nkg,ng->nk", by_node, node)
+        mass = sums[:, 0]
         avgs = sums[:, 1:] / mass[:, None]
     bad = ~((mass > 0.0) & np.isfinite(mass) & np.isfinite(avgs).all(axis=1))
-    if bad.any():
+    if np.count_nonzero(bad):
         chi = float(chis[bad][0])
         raise EvaluationError(
             f"the weighted mass vanishes or a moment is not finite at chi={chi!r}")

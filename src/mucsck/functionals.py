@@ -11,15 +11,16 @@ The weighted curvature is quadratic in chi with tau-dependent
 coefficients, s^0 = A + chi B + chi^2 C, its Bakry-Emery part is
 A + chi B0, and s^lam adds lam chi tau; the splits are read off the
 curvature at chi = 0 and chi = +-1.  A FunctionalContext evaluates the
-reference profile's psi-jet on the nodes of the measure's rule once and
-caches, for each end of the interval as ref, one stack of node columns:
-the powers of u = tau - ref up to u^3, A, B0, B, C, (A, B, C) times u and
-u^2, and phi.  The moment kernel `dh._end_moments` returns their log-mass
-and weighted averages for a whole array of chi at once, and every
-functional is a closed expression in those moments: theta_bar, sbar,
-log_vol, mu_vol, futaki, nu, lambda_xi, d2_mu_vol, stats0, lambda_inf,
-W_check, properness_slope, the obstruction curve F0 + lam F1 on SCAN_GRID
-and mu_vol_profile on any chi array.  The roots of F = F0 + lam F1 are both
+reference profile's psi-jet and these splits on the nodes of the measure's
+rule once and builds, for each end of the interval as ref, one stack of
+node columns when a chi first reads that end: the powers of u = tau - ref
+up to u^3, A, B0, B, C, (A, B, C) times u and u^2, and phi.  The moment
+kernel `dh._end_moments` returns their log-mass and weighted averages for
+a whole array of chi at once, and every functional is a closed
+expression in those moments: theta_bar, sbar, log_vol, mu_vol, futaki, nu,
+lambda_xi, d2_mu_vol, stats0, lambda_inf, W_check, properness_slope, the
+obstruction curve F0 + lam F1 on SCAN_GRID and mu_vol_profile on any chi
+array.  The roots of F = F0 + lam F1 are both
 the solver's and the critical points: `critical_brackets` reads one sorted
 list of brackets off the curve, which `find_critical`, `path.trace` and the
 phase layer share, and `obstruction_root` (also used by `solver.solve_chi`)
@@ -103,9 +104,9 @@ class FunctionalContext:
         return psi_jet(self.spec, self.reference_profile, self.measure.rule[0])
 
     @cached_property
-    def _stacks(self):
-        """(the `dh._end_stacks` of the module docstring's columns, A at the
-        node nearest each end)."""
+    def _splits(self):
+        """(A, B0, B, C, phi) on the rule's nodes: the end-independent part of
+        the stacks, from the curvature at chi = 0 and chi = +-1."""
         t = self.measure.rule[0]
         with np.errstate(all="ignore"):  # _end_stacks refuses a non-finite column
             _, A = mu_curvatures(self.spec, 0.0, 0.0, t, self.jet)
@@ -115,16 +116,44 @@ class FunctionalContext:
             C = 0.5 * (s_plus + s_minus) - A
             B0 = box_plus - A
             phi = self.jet[0] / (1.0 - self.spec.k * t)
+        return A, B0, B, C, phi
 
-        def columns(ref):
-            # shifted one-pass sums: tau, A, B and C each minus a value near
-            # the weighted mean, so a covariance cancels no leading digits
-            i = 0 if ref == self.measure.tau_min else -1
-            u, a, b, c = t - ref, A - A[i], B - B[i], C - C[i]
-            u2 = u * u
-            return u, u2, u2 * u, a, B0, b, c, a * u, b * u, c * u, a * u2, b * u2, c * u2, phi
+    def _columns(self, ref):
+        """The module docstring's node columns centred at ref, for `dh._end_stacks`."""
+        # shifted one-pass sums: tau, A, B and C each minus a value near
+        # the weighted mean, so a covariance cancels no leading digits
+        A, B0, B, C, phi = self._splits
+        i = 0 if ref == self.measure.tau_min else -1
+        u, a, b, c = self.measure.rule[0] - ref, A - A[i], B - B[i], C - C[i]
+        u2 = u * u
+        return u, u2, u2 * u, a, B0, b, c, a * u, b * u, c * u, a * u2, b * u2, c * u2, phi
 
-        return _end_stacks(self.measure, columns), A[[0, -1]]
+    @cached_property
+    def _min_end(self):
+        """`dh._end_stacks` of `_columns` with the tau_min stack only."""
+        return _end_stacks(self.measure, self._columns, (0,))
+
+    @cached_property
+    def _max_end(self):
+        """`dh._end_stacks` of `_columns` with the tau_max stack only."""
+        return _end_stacks(self.measure, self._columns, (1,))
+
+    def _stacks(self, peak):
+        """The stacks `_end_moments` reads for chis whose `dh._peak_end` is
+        `peak`: each end's stack is built when a chi first reads it, so a
+        one-signed solve builds one of the two."""
+        negative = np.count_nonzero(peak)
+        if negative == 0:
+            return self._min_end
+        if negative == len(peak):
+            return self._max_end
+        return self._min_end[0], (self._min_end[1][0], self._max_end[1][1])
+
+    @cached_property
+    def _end_values(self):
+        """(ref, A at the node nearest ref) at each end, indexed by `dh._peak_end`."""
+        A = self._splits[0]
+        return np.array([self.measure.tau_min, self.measure.tau_max]), A[[0, -1]]
 
     def _moments(self, chis) -> _Moments:
         """The moments at chis, a float or a 1-D array; the fields take its shape."""
@@ -136,14 +165,13 @@ class FunctionalContext:
             if not math.isfinite(bad):
                 raise ValueError(f"chi must be finite, got {bad}")
             raise EvaluationError(f"chi ** 2 leaves the float range at chi={bad!r}")
-        stacks, a_ends = self._stacks
-        log_mass, avgs = _end_moments(stacks, c)
-        end = _peak_end(c)
-        refs = np.array([self.measure.tau_min, self.measure.tau_max])[end]
-        fields = (c, refs, a_ends[end], log_mass, *avgs.T)
+        peak = _peak_end(c)
+        log_mass, avgs = _end_moments(self._stacks(peak), c)
+        refs, a_ends = self._end_values
         if np.ndim(chis) == 0:
-            fields = tuple(f[0] for f in fields)
-        return _Moments(*fields[:3], self.shift, *fields[3:])
+            end = peak[0]
+            return _Moments(c[0], refs[end], a_ends[end], self.shift, log_mass[0], *avgs[0])
+        return _Moments(c, refs[peak], a_ends[peak], self.shift, log_mass, *avgs.T)
 
     @cached_property
     def _origin(self) -> _Moments:
@@ -287,10 +315,21 @@ def futaki(ctx: FunctionalContext, w_base: TorusWeight, w_dir: TorusWeight, lam:
     return w_dir.chi * _d_mu_vol_unit(ctx, w_base.chi, lam)
 
 
+def _along(w_dir: TorusWeight, unit) -> float:
+    """chi_dir ** 2 times a second variation in the unit direction; past the
+    float range raises EvaluationError naming chi_dir."""
+    if abs(w_dir.chi) <= math.sqrt(sys.float_info.max):
+        with np.errstate(over="ignore"):
+            value = float(w_dir.chi ** 2 * unit)
+        if math.isfinite(value):
+            return value
+    raise EvaluationError(f"chi_dir ** 2 times the unit-direction value leaves the float "
+                          f"range at chi_dir={w_dir.chi!r}")
+
+
 def nu(ctx: FunctionalContext, w_base: TorusWeight, w_dir: TorusWeight) -> float:
     """Weighted variance of theta_dir; positive for every nonzero direction."""
-    var = _var(ctx._moments(w_base.chi))  # refuses an extreme chi before chi ** 2 overflows
-    return float(w_dir.chi ** 2 * var)
+    return _along(w_dir, _var(ctx._moments(w_base.chi)))
 
 
 def d2_mu_vol(ctx: FunctionalContext, w: TorusWeight, lam: float, w_dir: TorusWeight) -> float:
@@ -310,7 +349,7 @@ def d2_mu_vol(ctx: FunctionalContext, w: TorusWeight, lam: float, w_dir: TorusWe
     shat_u2 = (m.at2 + m.chi * m.bt2 + m.chi ** 2 * m.ct2 - _s0(m) * m.t2
                + lam * m.chi * (m.t3 - m.t1 * m.t2))
     d2 = shat_u2 - 2.0 * shat_u * m.t1 + 2.0 * m.phi - lam * _var(m)
-    return float(w_dir.chi ** 2 * d2)
+    return _along(w_dir, d2)
 
 
 def lambda_xi(ctx: FunctionalContext, w: TorusWeight) -> float:

@@ -30,7 +30,7 @@ Roots: the residual r and the obstruction F = F0 + lam F1 of `functionals`
 
 with r1 - r0 the residual's lam-slope, so they vanish together for chi != 0
 and their signs differ by sign(chi) sign(r1 - r0).  `solve_chi` finds the
-root on F, which the moment kernel reads in about 0.07 ms without
+root on F, which the moment kernel reads in about 0.04 ms without
 cancellation near chi = 0, and makes one boundary solve there.  A root is
 certified when |r| <= the tolerance it met, kept as SolveResult.residual_tol:
 

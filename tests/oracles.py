@@ -6,11 +6,14 @@ finite differences.  Tests compare the production paths against these.
 """
 
 import math
+import sys
 
 import numpy as np
 from mpmath import mp, mpf
 
-from mucsck.errors import MucsckError
+from mucsck.dh import GAUSS_NODES, _end_stacks
+from mucsck.errors import EvaluationError, MucsckError
+from mucsck.solver import mu_curvatures
 
 
 class PoleError(MucsckError):
@@ -172,6 +175,66 @@ def node_sum_functionals(ctx, chi, lam, dps=40):
         nu = avg([(tv - tau) ** 2 for tv in ts])
         sbar = box + lam_ * x * tau - lam_ * mpf(ctx.shift)
         return float(futaki), float(nu), float(sbar)
+
+
+def masked_moment_reader(ctx):
+    """A reader of the context's kernel moments at one chi by the masked array
+    path: both ends' stacks built at once, one boolean mask per side, the
+    rows scattered into one sums array, and row 0 of each field.
+
+    The reader returns the 19 fields of `functionals._Moments` as a tuple and
+    raises as `FunctionalContext._moments` does.  It is a plain copy of that
+    arithmetic, kept apart from the library's one-side path.
+    """
+    measure, t = ctx.measure, ctx.measure.rule[0]
+    with np.errstate(all="ignore"):
+        _, A = mu_curvatures(ctx.spec, 0.0, 0.0, t, ctx.jet)
+        s_plus, box_plus = mu_curvatures(ctx.spec, 1.0, 0.0, t, ctx.jet)
+        s_minus, _ = mu_curvatures(ctx.spec, -1.0, 0.0, t, ctx.jet)
+        B = 0.5 * (s_plus - s_minus)
+        C = 0.5 * (s_plus + s_minus) - A
+        B0 = box_plus - A
+        phi = ctx.jet[0] / (1.0 - ctx.spec.k * t)
+
+    def columns(ref):
+        i = 0 if ref == measure.tau_min else -1
+        u, a, b, c = t - ref, A - A[i], B - B[i], C - C[i]
+        u2 = u * u
+        return u, u2, u2 * u, a, B0, b, c, a * u, b * u, c * u, a * u2, b * u2, c * u2, phi
+
+    offsets, ends = _end_stacks(measure, columns)
+
+    def read(chi):
+        c = np.atleast_1d(np.asarray(chi, dtype=float))
+        ok = np.abs(c) <= math.sqrt(sys.float_info.max)
+        if not ok.all():
+            bad = float(c[~ok][0])
+            if not math.isfinite(bad):
+                raise ValueError(f"chi must be finite, got {bad}")
+            raise EvaluationError(f"chi ** 2 leaves the float range at chi={bad!r}")
+        sums = np.empty((len(c), ends[0][1].shape[1] // GAUSS_NODES))
+        peak = (c < 0.0).astype(int)
+        for end, (dist, stack) in enumerate(ends):
+            side = peak == end
+            if not side.any():
+                continue
+            a = np.abs(c[side])[:, None]
+            with np.errstate(over="ignore"):
+                panel, node = np.exp(-(a * dist)), np.exp(-(a * offsets))
+            by_node = (panel @ stack).reshape(len(a), -1, GAUSS_NODES)
+            sums[side] = np.einsum("nkg,ng->nk", by_node, node)
+        mass = sums[:, 0]
+        with np.errstate(all="ignore"):
+            avgs = sums[:, 1:] / mass[:, None]
+        bad = ~((mass > 0.0) & np.isfinite(mass) & np.isfinite(avgs).all(axis=1))
+        if bad.any():
+            raise EvaluationError("the weighted mass vanishes or a moment is not finite "
+                                  f"at chi={float(c[bad][0])!r}")
+        refs = np.array([measure.tau_min, measure.tau_max])[peak]
+        fields = tuple(f[0] for f in (c, refs, A[[0, -1]][peak], np.log(mass), *avgs.T))
+        return (*fields[:3], ctx.shift, *fields[3:])
+
+    return read
 
 
 def lambda_of_chi_p2blowup(chi: float) -> float:

@@ -1,11 +1,12 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 from mucsck.dh import TorusWeight
-from mucsck.errors import MucsckError
+from mucsck.errors import EvaluationError, MucsckError
 from mucsck.functionals import (
     C_functional,
     FunctionalContext,
@@ -28,7 +29,7 @@ from mucsck.functionals import (
 from mucsck.solver import solve_chi
 from mucsck.surfaces import SurfaceSpec
 
-from oracles import central_diff, muvol_cp1_closed_form
+from oracles import central_diff, masked_moment_reader, muvol_cp1_closed_form
 
 CP1 = FunctionalContext(SurfaceSpec.cp1(1.0))
 CP1_M2 = FunctionalContext(SurfaceSpec.cp1(2.0))
@@ -610,6 +611,46 @@ def test_extreme_weights_fail_loudly(chi):
                  lambda: nu(CP1, w, w), lambda: mu_vol_profile(CP1, [0.5, chi], 2.0)):
         with pytest.raises(MucsckError, match="chi="):
             call()
+
+
+@pytest.mark.parametrize("m, chi_dir", [(1.0, 1e160), (1.0, -1e160), (10.0, 1.3e154)])
+@pytest.mark.parametrize("second_variation", [
+    lambda ctx, d: nu(ctx, TorusWeight(0.05), d),
+    lambda ctx, d: d2_mu_vol(ctx, TorusWeight(0.05), 2.0, d),
+], ids=["nu", "d2_mu_vol"])
+def test_a_huge_direction_fails_naming_chi_dir(second_variation, m, chi_dir):
+    # both scale as chi_dir ** 2: past the float range in the square (m = 1)
+    # or in the product with the unit-direction value (m = 10)
+    ctx = CP1 if m == 1.0 else FunctionalContext(SurfaceSpec.cp1(m))
+    with pytest.raises(EvaluationError, match=re.escape(f"at chi_dir={chi_dir!r}") + "$"):
+        second_variation(ctx, TorusWeight(chi_dir))
+
+
+@pytest.mark.parametrize("spec", [SurfaceSpec.cp1(1.0), SurfaceSpec.cp1(2.7), SurfaceSpec.cp1(0.3),
+                                  SurfaceSpec.p2_blowup(), SurfaceSpec.ruled(3, 2, 0.7)],
+                         ids=["CP1(1)", "CP1(2.7)", "CP1(0.3)", "P(O(1)+O)", "Ruled(3,2,0.7)"])
+def test_a_single_chi_reads_the_masked_row_bit_for_bit(spec):
+    # one chi reads one end's stack, without the masked array path: every
+    # field is the masked path's float, and every error its error
+    ctx, read = FunctionalContext(spec), masked_moment_reader(FunctionalContext(spec))
+    mags = np.concatenate([[0.0, 1e-6], np.logspace(-6.0, 3.0, 46) / ctx.measure.width])
+    chis = [sign * x for x in mags for sign in (1.0, -1.0)]
+    chis += [1e7, -1e7, 1e9, -1e9, 1e155, -1e200, math.inf, -math.inf, math.nan]
+    errors = []
+    for chi in chis:
+        try:
+            want = read(chi)
+        except (MucsckError, ValueError) as exc:
+            with pytest.raises(type(exc)) as got:
+                ctx._moments(chi)
+            assert str(got.value) == str(exc)
+            errors.append(str(exc))
+            continue
+        got = tuple(ctx._moments(chi))
+        assert got == want, chi
+        assert np.array(got).tobytes() == np.array(want).tobytes(), chi
+    for refusal in ("the weighted mass vanishes", "chi ** 2 leaves", "chi must be finite"):
+        assert any(refusal in e for e in errors), refusal
 
 
 @pytest.mark.parametrize("chi", [1e5, -1e5])

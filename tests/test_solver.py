@@ -405,6 +405,27 @@ def test_solve_chi_makes_one_boundary_solve_and_no_residual_call(spec, lam, brac
     assert (len(solves), len(residuals)) == (1, 0)
 
 
+def test_a_one_signed_solve_builds_one_end_and_the_curve_both(monkeypatch):
+    # a solve on a negative bracket reads F at chi < 0 only, so it builds the
+    # tau_max stack and leaves tau_min's unbuilt; the obstruction curve and a
+    # traced path, which read the whole scan grid, build both
+    import mucsck.functionals as fn
+    from mucsck.path import trace
+
+    built = []
+    stacks = fn._end_stacks
+    monkeypatch.setattr(fn, "_end_stacks", lambda measure, columns, ends=(0, 1):
+                        built.append(tuple(ends)) or stacks(measure, columns, ends))
+    assert solve_chi(RULED, 0.0, (-0.5, -0.1)).certified
+    assert built == [(1,)]
+    built.clear()
+    FunctionalContext(CP1).obstruction_curve
+    assert sorted(built) == [(0,), (1,)]
+    built.clear()
+    assert all(p.ok for p in trace(SurfaceSpec.p2_blowup(), [1.0, 0.5], (-1.0, -0.1)))
+    assert sorted(built) == [(0,), (1,)]
+
+
 # -- scaling covariance -------------------------------------------------------------
 
 
