@@ -27,7 +27,9 @@ as e^{-chi (tau - ref)} = e^{-|chi| |e_p - ref|} e^{-|chi| h (1 + x_j)}.
 Both exponents are <= 0, so no factor overflows for any finite chi, and a
 chi costs PANELS + GAUSS_NODES exponentials and one product with a stack of
 node columns cached by `_end_stacks`.  When every chi peaks at one end, as a
-single chi always does, the kernel reads that end's stack without masking.
+single chi always does, the kernel reads that end's stack without masking,
+one matrix-vector product per row, so that a row is the same float alone or
+in a batch.
 The columns are centred at the same end, so the moments are the shifted
 one-pass sums of Chan, Golub and LeVeque (Amer. Statist. 1983) and their
 differences lose no accuracy.  The public integrals are readings of one
@@ -197,7 +199,10 @@ def _end_moments(stacks, chis):
             end = int(negative > 0)
             dist, stack = ends[end]
             panel, node = np.exp(-(a * dist)), np.exp(-(a * offsets))
-            sums = np.einsum("nkg,ng->nk", (panel @ stack).reshape(len(a), -1, GAUSS_NODES), node)
+            # a product per row (one gemv each, not one gemm for all), so
+            # that a row does not depend on the rows read with it
+            by_node = np.matmul(panel[:, None, :], stack).reshape(len(a), -1, GAUSS_NODES)
+            sums = np.einsum("nkg,ng->nk", by_node, node)
         else:
             sums = np.empty((len(chis), ends[0][1].shape[1] // GAUSS_NODES))
             for end, (dist, stack) in enumerate(ends):

@@ -31,7 +31,7 @@ class DegenerateParameterError(MucsckError):
 
 
 class BracketError(MucsckError):
-    """A root bracket does not enclose a sign change, or brentq fails on it."""
+    """A root bracket does not enclose a sign change, or Brent's method fails on it."""
 
 
 class PathDegeneracyError(MucsckError):

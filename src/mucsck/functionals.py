@@ -23,9 +23,12 @@ obstruction curve F0 + lam F1 on SCAN_GRID and mu_vol_profile on any chi
 array.  The roots of F = F0 + lam F1 are both
 the solver's and the critical points: `critical_brackets` reads one sorted
 list of brackets off the curve, which `find_critical`, `path.trace` and the
-phase layer share, and `obstruction_root` (also used by `solver.solve_chi`)
-is the one brentq over F, so a critical point and a traced root in the
-same bracket are the same float.  The columns are centred near the
+phase layer share.  One port of scipy's brentq, `_brent`, finds every root:
+`obstruction_roots` advances all brackets of a call in lockstep, reading
+their pending chis in one kernel call per side of 0, and `obstruction_root`
+(also used by `solver.solve_chi`) is its one-bracket case.  A one-side
+kernel row does not depend on its batch, so a critical point and a traced
+root in the same bracket are the same float.  The columns are centred near the
 weighted mean (u at the end where the weight peaks, `dh._peak_end`, and A,
 B and C at their values there), which is the shifted one-pass
 formula of Chan, Golub and LeVeque, so a covariance such as avg(s tau) -
@@ -48,7 +51,6 @@ Conventions:
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from collections import namedtuple
@@ -56,7 +58,6 @@ from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .dh import TorusWeight, _end_moments, _end_stacks, _peak_end
 from .errors import BracketError, EvaluationError, MucsckError
@@ -210,10 +211,12 @@ class VolReport:
 
 # -- the functionals as expressions in the moments ------------------------------------
 # Each takes a _Moments (of a float or an array of chi) and returns the same shape.
+# Squares are products: a numpy float's ** 2 calls pow, which can round
+# otherwise than an array's x * x, and a float reading must equal its array row.
 
 
 def _var(m):
-    return m.t2 - m.t1 ** 2
+    return m.t2 - m.t1 * m.t1
 
 
 def _s_box(m):
@@ -223,13 +226,13 @@ def _s_box(m):
 
 def _s0(m):
     """Weighted average of the centred s^0 = A + chi B + chi^2 C."""
-    return m.a + m.chi * m.b + m.chi ** 2 * m.c
+    return m.a + m.chi * m.b + m.chi * m.chi * m.c
 
 
 def _obstruction(m):
     """(F0, F1) with futaki = chi_dir (F0 + lam F1), the Futaki invariant
     -cov(s^lam, tau): F0 = -cov(s^0, tau), F1 = -chi var(tau)."""
-    f0 = _s0(m) * m.t1 - (m.at + m.chi * m.bt + m.chi ** 2 * m.ct)
+    f0 = _s0(m) * m.t1 - (m.at + m.chi * m.bt + m.chi * m.chi * m.ct)
     return f0, -m.chi * _var(m)
 
 
@@ -302,7 +305,13 @@ def mu_vol_profile(ctx: FunctionalContext, chis, lam: float):
     """(mu_vol, d_mu_vol in the unit direction) at every chi of an array, in one pass."""
     m = ctx._moments(np.asarray(chis, dtype=float).reshape(-1))
     f0, f1 = _obstruction(m)
-    return _mu_vol(m, lam, ctx.spec.complex_dim), f0 + lam * f1
+    with np.errstate(all="ignore"):  # a value past the float range is refused below
+        mu, dmu = _mu_vol(m, lam, ctx.spec.complex_dim), f0 + lam * f1
+    bad = ~(np.isfinite(mu) & np.isfinite(dmu))
+    if bad.any():
+        raise EvaluationError(f"mu_vol leaves the float range at chi={float(m.chi[bad][0])!r}, "
+                              f"lam={lam!r}")
+    return mu, dmu
 
 
 # -- variations ----------------------------------------------------------------
@@ -346,7 +355,7 @@ def d2_mu_vol(ctx: FunctionalContext, w: TorusWeight, lam: float, w_dir: TorusWe
     m = ctx._moments(w.chi)
     f0, f1 = _obstruction(m)
     shat_u = -(f0 + lam * f1)
-    shat_u2 = (m.at2 + m.chi * m.bt2 + m.chi ** 2 * m.ct2 - _s0(m) * m.t2
+    shat_u2 = (m.at2 + m.chi * m.bt2 + m.chi * m.chi * m.ct2 - _s0(m) * m.t2
                + lam * m.chi * (m.t3 - m.t1 * m.t2))
     d2 = shat_u2 - 2.0 * shat_u * m.t1 + 2.0 * m.phi - lam * _var(m)
     return _along(w_dir, d2)
@@ -426,26 +435,174 @@ def critical_brackets(ctx: FunctionalContext, lam: float):
     return list(zip(SCAN_GRID[lo].tolist(), SCAN_GRID[lo + change[lo]].tolist()))
 
 
+# brentq's tolerances: xtol is one ulp's worth at the smallest chi the solver
+# tells from 0, rtol scipy's least, 4 eps; at most BRENT_STEPS steps
+_XTOL = CHI_ZERO_THRESHOLD * 2.0 ** -52
+_RTOL = 4.0 * 2.0 ** -52
+BRENT_STEPS = 100
+
+
+def _brent(lo: float, hi: float):
+    """Brent's method on F over [lo, hi] as a generator: it yields each chi
+    to read, is sent F there, and returns the root.
+
+    The steps and their float operations are those of scipy's brentq
+    (scipy/optimize/Zeros/brentq.c; Brent, Algorithms for Minimization
+    without Derivatives, 1973, ch. 4) with xtol _XTOL and rtol _RTOL, so the
+    root is brentq's bit for bit.  Where C divides by zero and its inf or
+    NaN then fails the step test, this takes the bisection step directly.
+    Raises BracketError unless F changes sign on [lo, hi] or vanishes at an
+    end, and when BRENT_STEPS steps do not converge; a NaN F raises
+    ValueError, as brentq does.
+    """
+    fpre = yield lo
+    fcur = fpre if hi == lo else (yield hi)
+    if (fpre > 0.0 and fcur > 0.0) or (fpre < 0.0 and fcur < 0.0):
+        raise BracketError(f"the obstruction has no sign change on [{lo}, {hi}] "
+                           f"(F({lo})={fpre:.3g}, F({hi})={fcur:.3g})")
+    for x, f in ((lo, fpre), (hi, fcur)):
+        _not_nan(x, f)
+    xpre, xcur = lo, hi
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(BRENT_STEPS):
+        if fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (_XTOL + _RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf  # bisect unless interpolation takes a short step
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:  # C's inf or NaN here fails the test below
+                pass
+        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = yield xcur
+        _not_nan(xcur, fcur)
+    raise BracketError(f"no root found on [{lo}, {hi}]: "
+                       f"failed to converge after {BRENT_STEPS} iterations")
+
+
+def _not_nan(chi, value):
+    if value != value:
+        raise ValueError(f"The function value at x={chi} is NaN; solver cannot continue.")
+
+
 def obstruction_root(ctx: FunctionalContext, lam: float, bracket) -> float:
     """The root of F = F0 + lam F1 in the bracket, to the resolution of chi.
 
     F is futaki in the unit direction, chi var(tau) (lambda_xi - lam): its
     nonzero roots are the solver's (see `solver`) and the critical points.
-    Raises BracketError unless F changes sign on the bracket or vanishes at
-    one of its ends, and when brentq stops after its 100 steps.
+    The one-bracket case of `obstruction_roots`, reading F at one chi a
+    step; raises its BracketError.
     """
-    lo, hi = float(bracket[0]), float(bracket[1])
-    # cached, so that brentq reuses the two end values read here
-    f = functools.cache(lambda chi: _d_mu_vol_unit(ctx, chi, lam))
-    if np.sign(f(lo)) * np.sign(f(hi)) > 0:
-        raise BracketError(f"the obstruction has no sign change on [{lo}, {hi}] "
-                           f"(F({lo})={f(lo):.3g}, F({hi})={f(hi):.3g})")
+    steps = _brent(float(bracket[0]), float(bracket[1]))
+    chi = next(steps)
     try:
-        # xtol is one ulp's worth at the smallest chi the solver tells from 0
-        return float(brentq(f, lo, hi, xtol=CHI_ZERO_THRESHOLD * 2.0 ** -52,
-                            rtol=4.0 * 2.0 ** -52))
-    except RuntimeError as exc:
-        raise BracketError(f"no root found on [{lo}, {hi}]: {exc}") from exc
+        while True:
+            chi = steps.send(_d_mu_vol_unit(ctx, chi, lam))
+    except StopIteration as done:
+        return done.value
+
+
+def obstruction_roots(ctx: FunctionalContext, problems) -> list:
+    """`obstruction_root` of each (lam, bracket) of problems, all refined in
+    lockstep: the root, or the exception refining that bracket raised, in
+    the order of problems.
+
+    Each step reads the pending chis of all brackets at once, in one kernel
+    call per side of 0 (a lone chi through the float path).  A kernel row
+    does not depend on the rows read with it, so every root is the one
+    `obstruction_root` finds alone, bit for bit.
+    """
+    out = [None] * len(problems)
+    pending = {}
+    for i, (lam, bracket) in enumerate(problems):
+        steps = _brent(float(bracket[0]), float(bracket[1]))
+        pending[i] = (lam, steps, next(steps))
+    while pending:
+        values = _obstruction_values(ctx, [(lam, chi) for lam, _, chi in pending.values()])
+        for i, value in zip(list(pending), values):
+            lam, steps, _ = pending.pop(i)
+            try:
+                failed = isinstance(value, Exception)
+                pending[i] = (lam, steps, steps.throw(value) if failed else steps.send(value))
+            except StopIteration as done:
+                out[i] = done.value
+            except (MucsckError, ValueError) as exc:
+                out[i] = exc
+    return out
+
+
+def _obstruction_values(ctx: FunctionalContext, reads):
+    """F at each (lam, chi) of reads, as floats: the chis on one side of 0 in
+    one kernel call; a chi alone on its side, or every chi of a call that
+    raised, through the float path; an exception in place of a value it
+    raised."""
+    out = [None] * len(reads)
+    for side in ([i for i, (_, chi) in enumerate(reads) if chi >= 0.0],
+                 [i for i, (_, chi) in enumerate(reads) if chi < 0.0]):
+        if len(side) > 1:
+            try:
+                f0, f1 = _obstruction(ctx._moments(np.array([reads[i][1] for i in side])))
+                lams = np.array([reads[i][0] for i in side], dtype=float)
+                for i, value in zip(side, (f0 + lams * f1).tolist()):
+                    out[i] = value
+                continue
+            except (MucsckError, ValueError):
+                pass
+        for i in side:
+            try:
+                out[i] = _d_mu_vol_unit(ctx, reads[i][1], reads[i][0])
+            except (MucsckError, ValueError) as exc:
+                out[i] = exc
+    return out
+
+
+def _raise_failed(root) -> float:
+    if isinstance(root, Exception):
+        raise root
+    return root
+
+
+def critical_points(ctx: FunctionalContext, lams) -> list:
+    """`find_critical` at every lam of lams, their sign changes refined
+    together by `obstruction_roots`; raises the first failure in order."""
+    per_lam = [critical_brackets(ctx, lam) for lam in lams]
+    found = iter(obstruction_roots(ctx, [(lam, b) for lam, brackets in zip(lams, per_lam)
+                                         for b in brackets if b[0] != b[1]]))
+    out = []
+    for lam, brackets in zip(lams, per_lam):
+        roots = [lo if lo == hi else _raise_failed(next(found)) for lo, hi in brackets]
+        if not roots:
+            # properness guarantees a minimizer; take the grid point where
+            # log Vol is least
+            roots.append(float(SCAN_GRID[np.argmin(_log_vol(ctx._moments(SCAN_GRID), lam))]))
+        distinct = []
+        for rt in sorted(roots):
+            if not distinct or abs(rt - distinct[-1]) > 1e-8 * max(1.0, abs(rt)):
+                distinct.append(rt)
+        out.append(distinct)
+    return out
 
 
 def find_critical(ctx: FunctionalContext, lam: float):
@@ -454,17 +611,7 @@ def find_critical(ctx: FunctionalContext, lam: float):
     Each grid zero of `critical_brackets` is a root, and each of its sign
     changes holds the `obstruction_root` there.
     """
-    roots = [lo if lo == hi else obstruction_root(ctx, lam, (lo, hi))
-             for lo, hi in critical_brackets(ctx, lam)]
-    if not roots:
-        # properness guarantees a minimizer; take the grid point where
-        # log Vol is least
-        roots.append(float(SCAN_GRID[np.argmin(_log_vol(ctx._moments(SCAN_GRID), lam))]))
-    out = []
-    for rt in sorted(roots):
-        if not out or abs(rt - out[-1]) > 1e-8 * max(1.0, abs(rt)):
-            out.append(rt)
-    return out
+    return critical_points(ctx, [lam])[0]
 
 
 # -- properness and the blown-up profile ---------------------------------------------
@@ -518,12 +665,17 @@ def futaki_report(ctx: FunctionalContext, w: TorusWeight, lam: float, w_dir: Tor
     """(vol_report at w, futaki at w along w_dir), from one kernel call."""
     m = ctx._moments(w.chi)
     f0, f1 = _obstruction(m)
-    report = VolReport(
-        log_vol=float(_log_vol(m, lam)),
-        sbar=float(_sbar(m, lam)),
-        theta_bar=float(_theta_bar(m)),
-        futaki_self=float(w.chi * (f0 + lam * f1)),
-        nu_self=float(w.chi ** 2 * _var(m)),
-        lambda_xi=_lambda_xi(m) if w.chi != 0.0 else None,
-    )
-    return report, w_dir.chi * float(f0 + lam * f1)
+    with np.errstate(all="ignore"):  # a value past the float range is refused below
+        report = VolReport(
+            log_vol=float(_log_vol(m, lam)),
+            sbar=float(_sbar(m, lam)),
+            theta_bar=float(_theta_bar(m)),
+            futaki_self=float(w.chi * (f0 + lam * f1)),
+            nu_self=float(w.chi ** 2 * _var(m)),
+            lambda_xi=_lambda_xi(m) if w.chi != 0.0 else None,
+        )
+        futaki_dir = w_dir.chi * float(f0 + lam * f1)
+    if not all(math.isfinite(v) for v in (*asdict(report).values(), futaki_dir) if v is not None):
+        raise EvaluationError(f"the volume report leaves the float range at chi={w.chi!r}, "
+                              f"lam={lam!r}")
+    return report, futaki_dir

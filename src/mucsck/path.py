@@ -16,8 +16,9 @@ import numpy as np
 
 from .dh import TorusWeight
 from .errors import BracketError, EvaluationError, MucsckError
-from .functionals import (SCAN_GRID, FunctionalContext, _d_mu_vol_unit, critical_brackets,
-                          extremal_chi, find_critical, obstruction_root)
+from .functionals import (SCAN_GRID, FunctionalContext, _d_mu_vol_unit, _raise_failed,
+                          critical_brackets, critical_points, extremal_chi, obstruction_root,
+                          obstruction_roots)
 from .solver import SolveResult, _solve_root, solve_coefficients
 from .solver import residual  # noqa: F401  bench/test_bench.py wraps it in this namespace
 from .surfaces import SurfaceSpec
@@ -40,6 +41,7 @@ class PathPoint:
     lam: float
     chi: float | None
     result: SolveResult | None
+    error: str | None = None  # a gap's "ExceptionClass: message"; never in to_row
 
     @property
     def ok(self) -> bool:
@@ -108,20 +110,20 @@ def _grown_bracket(ctx: FunctionalContext, lam: float, prev: float):
     raise BracketError(f"no sign change of the obstruction around chi={prev} at lam={lam}")
 
 
-def _branch_root(ctx: FunctionalContext, lam: float, prev: float) -> float:
+def _branch_root(ctx: FunctionalContext, lam: float, prev: float, brackets, roots) -> float:
     """The root of F = F0 + lam F1 continuous with the previous root prev.
 
-    The nonzero root nearest prev among the cached curve's brackets; when the
-    curve has none (a root past |chi| = 30, or inside 1e-3 on the line just
-    above 4/m), a bracket grown from prev; when that fails too, the trivial
-    root chi = 0 of the line, where the branch merges onto the
+    The nonzero root nearest prev among the cached curve's brackets (their
+    roots, or the failures refining them, in `roots` by (lam, bracket));
+    when the curve has none (a root past |chi| = 30, or inside 1e-3 on the
+    line just above 4/m), a bracket grown from prev; when that fails too,
+    the trivial root chi = 0 of the line, where the branch merges onto the
     constant-curvature solution.
     """
-    brackets = critical_brackets(ctx, lam)
     nonzero = [b for b in brackets if b != (0.0, 0.0)]
     if nonzero:
         lo, hi = min(nonzero, key=lambda b: max(b[0] - prev, prev - b[1]))
-        return lo if lo == hi else obstruction_root(ctx, lam, (lo, hi))
+        return lo if lo == hi else _raise_failed(roots[lam, (lo, hi)])
     if prev != 0.0:
         try:
             return obstruction_root(ctx, lam, _grown_bracket(ctx, lam, prev))
@@ -138,27 +140,33 @@ def trace(spec: SurfaceSpec, lambda_grid, seed_bracket) -> list:
     Each point is the root of F = F0 + lam F1 (`functionals.obstruction_root`)
     and one boundary solve there, as in `solver.solve_chi`: on seed_bracket
     until a point is solved, then continuous with the last solved chi
-    (`_branch_root`).  One FunctionalContext serves the whole grid.
-    Per-point failures are recorded as gap points, not raised.
+    (`_branch_root`).  One FunctionalContext serves the whole grid, and the
+    sign changes of its curve at every lam are refined together up front
+    (`functionals.obstruction_roots`), so a bracket that fails makes only
+    the point that takes it a gap.  Per-point failures are recorded as gap
+    points carrying the error, not raised.
     """
     grid = list(lambda_grid)
     diffs = [b - a for a, b in zip(grid, grid[1:])]
     if diffs and not (all(d > 0 for d in diffs) or all(d < 0 for d in diffs)):
         raise ValueError("lambda_grid must be monotone")
     ctx = FunctionalContext(spec)
+    curve = [critical_brackets(ctx, lam) for lam in grid]
+    problems = [(lam, b) for lam, brackets in zip(grid, curve) for b in brackets if b[0] != b[1]]
+    roots = dict(zip(problems, obstruction_roots(ctx, problems)))
     points = []
     prev = None
-    for lam in grid:
+    for lam, brackets in zip(grid, curve):
         try:
             if prev is None:
                 chi = obstruction_root(ctx, lam, seed_bracket)
             else:
-                chi = _branch_root(ctx, lam, prev)
+                chi = _branch_root(ctx, lam, prev, brackets, roots)
             res = _solve_root(spec, lam, chi)
             points.append(PathPoint(lam, res.chi, res))
             prev = res.chi
-        except MucsckError:
-            points.append(PathPoint(lam, None, None))
+        except MucsckError as exc:
+            points.append(PathPoint(lam, None, None, f"{type(exc).__name__}: {exc}"))
     return points
 
 
@@ -229,8 +237,7 @@ def phase_diagram(spec: SurfaceSpec, lambda_grid) -> PhaseDiagram:
     f0, f1 = ctx.obstruction_curve
     grid = tuple(float(v) for v in lambda_grid)
     rows = []
-    for lam in grid:
-        roots = find_critical(ctx, lam)
+    for lam, roots in zip(grid, critical_points(ctx, grid)):
         vals = f0 + lam * f1
         left = np.clip(np.searchsorted(SCAN_GRID, roots) - 1, 0, None)
         right = np.clip(np.searchsorted(SCAN_GRID, roots, "right"), None, len(SCAN_GRID) - 1)

@@ -30,8 +30,9 @@ Roots: the residual r and the obstruction F = F0 + lam F1 of `functionals`
 
 with r1 - r0 the residual's lam-slope, so they vanish together for chi != 0
 and their signs differ by sign(chi) sign(r1 - r0).  `solve_chi` finds the
-root on F, which the moment kernel reads in about 0.04 ms without
-cancellation near chi = 0, and makes one boundary solve there.  A root is
+root on F, which the moment kernel reads at one chi in about 35 us (one
+2-core VM, CP1(1)) without cancellation near chi = 0, and makes one
+boundary solve there.  A root is
 certified when |r| <= the tolerance it met, kept as SolveResult.residual_tol:
 
 * RESIDUAL_TOL when the residual meets it;
@@ -47,6 +48,7 @@ certified when |r| <= the tolerance it met, kept as SolveResult.residual_tol:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -55,7 +57,7 @@ from mpmath import mp, mpf
 from scipy.optimize import brentq
 
 from .dh import TorusWeight
-from .errors import ChiZeroBranchError, DegenerateParameterError, DomainError
+from .errors import ChiZeroBranchError, DegenerateParameterError, DomainError, EvaluationError
 from .profiles import ClosedFormProfile, _poly_deriv
 from .surfaces import CP1, SurfaceSpec
 
@@ -334,11 +336,22 @@ def mu_scalar_curvature(spec: SurfaceSpec, profile, w: TorusWeight, lam: float, 
     return out if np.asarray(tau).shape else float(out)
 
 
+@functools.lru_cache(maxsize=4)  # a trace solves on one interval point after point
+def _interior_grid(lo: float, hi: float, n: int):
+    """The n interior points of an (n + 2)-point linspace of [lo, hi]; read-only."""
+    ts = np.linspace(lo, hi, n + 2)[1:-1]
+    ts.flags.writeable = False
+    return ts
+
+
 def ode_sup_residual(spec: SurfaceSpec, profile, w: TorusWeight, lam: float, c: float) -> float:
-    lo, hi = spec.tau_lo, spec.tau_hi
-    ts = np.linspace(lo, hi, ODE_GRID + 2)[1:-1]
-    vals = mu_scalar_curvature(spec, profile, w, lam, ts)
-    return float(np.max(np.abs(vals - c)))
+    ts = _interior_grid(spec.tau_lo, spec.tau_hi, ODE_GRID)
+    with np.errstate(all="ignore"):  # a curvature past the float range is refused below
+        sup = float(np.max(np.abs(mu_scalar_curvature(spec, profile, w, lam, ts) - c)))
+    if not math.isfinite(sup):
+        raise EvaluationError(f"the weighted curvature leaves the float range at "
+                              f"(lam={lam!r}, chi={w.chi!r})")
+    return sup
 
 
 def positivity_certificate(profile, spec: SurfaceSpec) -> PositivityCertificate:
@@ -349,8 +362,7 @@ def positivity_certificate(profile, spec: SurfaceSpec) -> PositivityCertificate:
     but the verdict itself is the scanned interior minimum.  Every profile
     is scanned in floats, one with mp coefficients through its float form.
     """
-    lo, hi = spec.tau_lo, spec.tau_hi
-    ts = np.linspace(lo, hi, SCAN_POINTS)[1:-1]
+    ts = _interior_grid(spec.tau_lo, spec.tau_hi, SCAN_POINTS - 2)
     closed_form = isinstance(profile, ClosedFormProfile)
     vals = np.asarray(profile.value(ts), dtype=float)
     i = int(np.argmin(vals))
@@ -430,8 +442,8 @@ def _solve_root(spec: SurfaceSpec, lam: float, chi: float) -> SolveResult:
 def solve_chi(spec: SurfaceSpec, lam: float, bracket) -> SolveResult:
     """The solution whose chi is the root of the obstruction in the bracket.
 
-    The root is `functionals.obstruction_root` (brentq on F, not on the
-    residual); it gets one boundary solve, more only when its residual
+    The root is `functionals.obstruction_root` (Brent's method on F, not
+    on the residual); it gets one boundary solve, more only when its residual
     misses RESIDUAL_TOL (module docstring).  BracketError when F does not
     change sign on the bracket.
     """

@@ -294,3 +294,72 @@ def inverse_polynomial_jet(coeffs, t, dps=40):
         p1 = sum(i * c * x ** (i - 1) for i, c in enumerate(cs) if i >= 1)
         p2 = sum(i * (i - 1) * c * x ** (i - 2) for i, c in enumerate(cs) if i >= 2)
         return 1 / p, -p1 / p ** 2, -p2 / p ** 2 + 2 * p1 ** 2 / p ** 3
+
+
+def scalar_root_path(ctx):
+    """The root finding of `functionals` and `path` one bracket at a time, as
+    it was before the brackets were refined together: scipy's brentq per
+    bracket over one float reading of F per step.
+
+    Returns (root, find_critical, trace_chis): root(lam, bracket) raises
+    BracketError as `obstruction_root` does, find_critical(lam) is
+    `functionals.find_critical`, and trace_chis(lambda_grid, seed_bracket)
+    lists the chi of each point of `path.trace` (None for a gap).
+    """
+    import functools
+
+    from scipy.optimize import brentq
+
+    from mucsck.errors import BracketError
+    from mucsck.functionals import SCAN_GRID, _d_mu_vol_unit, _log_vol, critical_brackets
+    from mucsck.path import _grown_bracket
+    from mucsck.solver import CHI_ZERO_THRESHOLD, _solve_root
+
+    def root(lam, bracket):
+        lo, hi = float(bracket[0]), float(bracket[1])
+        f = functools.cache(lambda chi: _d_mu_vol_unit(ctx, chi, lam))
+        if np.sign(f(lo)) * np.sign(f(hi)) > 0:
+            raise BracketError(f"the obstruction has no sign change on [{lo}, {hi}]")
+        try:
+            return float(brentq(f, lo, hi, xtol=CHI_ZERO_THRESHOLD * 2.0 ** -52,
+                                rtol=4.0 * 2.0 ** -52))
+        except RuntimeError as exc:
+            raise BracketError(f"no root found on [{lo}, {hi}]: {exc}") from exc
+
+    def find_critical(lam):
+        roots = [lo if lo == hi else root(lam, (lo, hi)) for lo, hi in critical_brackets(ctx, lam)]
+        if not roots:
+            roots.append(float(SCAN_GRID[np.argmin(_log_vol(ctx._moments(SCAN_GRID), lam))]))
+        out = []
+        for rt in sorted(roots):
+            if not out or abs(rt - out[-1]) > 1e-8 * max(1.0, abs(rt)):
+                out.append(rt)
+        return out
+
+    def branch_root(lam, prev):
+        brackets = critical_brackets(ctx, lam)
+        nonzero = [b for b in brackets if b != (0.0, 0.0)]
+        if nonzero:
+            lo, hi = min(nonzero, key=lambda b: max(b[0] - prev, prev - b[1]))
+            return lo if lo == hi else root(lam, (lo, hi))
+        if prev != 0.0:
+            try:
+                return root(lam, _grown_bracket(ctx, lam, prev))
+            except BracketError:
+                pass
+        if (0.0, 0.0) in brackets:
+            return 0.0
+        raise BracketError(f"no root continuous with chi={prev} at lam={lam}")
+
+    def trace_chis(lambda_grid, seed_bracket):
+        chis, prev = [], None
+        for lam in lambda_grid:
+            try:
+                chi = root(lam, seed_bracket) if prev is None else branch_root(lam, prev)
+                prev = _solve_root(ctx.spec, lam, chi).chi
+                chis.append(prev)
+            except MucsckError:
+                chis.append(None)
+        return chis
+
+    return root, find_critical, trace_chis

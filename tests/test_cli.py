@@ -300,6 +300,26 @@ def test_solve_bracket_too_wide_for_brentq_exits_3(tmp_path):
 
 
 @pytest.mark.parametrize("command, cfg", [
+    ("futaki", {"surface": CP1, "lambda": -1.4926946250714803e+308, "chi": 0.0, "chi_dir": 0.0}),
+    ("muvol", {"surface": CP1, "lambda": 1.7976931348623157e+308}),
+])
+def test_values_past_the_float_range_exit_3(tmp_path, capsys, command, cfg):
+    # log Vol overflows: one stderr line, no RuntimeWarning and no inf in the output
+    code, out = run(tmp_path, command, cfg, fmt="json")
+    assert code == 3 and not out.exists()
+    assert "leaves the float range" in capsys.readouterr().err
+
+
+def test_a_curvature_past_the_float_range_is_a_gap_with_its_error():
+    from mucsck.path import trace
+    from mucsck.surfaces import SurfaceSpec
+
+    point, = trace(SurfaceSpec.ruled(1, 0, 2.0), [-1e300], (-285001.0, 872544.0))
+    assert not point.ok
+    assert point.error.startswith("EvaluationError: the weighted curvature leaves the float range")
+
+
+@pytest.mark.parametrize("command, cfg", [
     ("solve", {"surface": CP1, "lambda": "abc", "bracket": [0.1, 5.0]}),
     ("futaki", {"surface": CP1, "lambda": [1], "chi": 0.5}),
     ("energy", {"surface": CP1, "lambda": 1.0, "chi": 0.5,

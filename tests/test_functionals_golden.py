@@ -39,7 +39,15 @@ Against 40-digit roots (on CP1 the closed form behind
 `oracles.node_sum_functionals` on the context's rule and profile) the
 largest relative error of a moved root fell from 3.3e-12 to 8.4e-15 (the
 cp1_2.5 root at lambda = 1.67, chi = 0.315, 2.3e-15 before); nothing else
-moved.  To rewrite it after
+moved.  The "exact" section was rewritten when a one-side kernel call came
+to form each row's product on its own (one matrix-vector product per row,
+so that a row no longer depends on its batch): 33 of the 72 "properness"
+entries, the multi-row readings, moved by 1 to 5 ulps (at most 1.8e-15
+absolute).  Against 40-digit node sums on each context's rule (the sbar of
+`oracles.node_sum_functionals` plus lam times the log-mass, kept in mpf)
+20 moved closer and 13 farther, and the largest relative error went from
+4.0e-16 to 4.7e-16 (the p2_blowup entry at sign -1, t = 100: 0.08 -> 4.08
+ulps); nothing else moved.  To rewrite it after
 an intended output change (which must be recorded with its size in
 CHANGES.md), run
 

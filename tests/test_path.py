@@ -244,8 +244,9 @@ def test_lambda_freeze_reads_the_cached_curve(monkeypatch):
     def no_refinement(*args, **kwargs):
         raise AssertionError("lambda_freeze_estimate refined roots")
 
-    monkeypatch.setattr(mucsck.path, "find_critical", no_refinement)
-    monkeypatch.setattr(mucsck.functionals, "find_critical", no_refinement)
+    for name in ("obstruction_root", "obstruction_roots", "critical_points"):
+        monkeypatch.setattr(mucsck.path, name, no_refinement)
+        monkeypatch.setattr(mucsck.functionals, name, no_refinement)
     assert lambda_freeze_estimate(CP1, (3.0, 5.0)) == pytest.approx(4.0, abs=1e-3)
 
 
