@@ -200,8 +200,10 @@ def _end_moments(stacks, chis):
             dist, stack = ends[end]
             panel, node = np.exp(-(a * dist)), np.exp(-(a * offsets))
             # a product per row (one gemv each, not one gemm for all), so
-            # that a row does not depend on the rows read with it
-            by_node = np.matmul(panel[:, None, :], stack).reshape(len(a), -1, GAUSS_NODES)
+            # that a row does not depend on the rows read with it; one row
+            # is that gemv already
+            rows = panel @ stack if len(a) == 1 else np.matmul(panel[:, None, :], stack)
+            by_node = rows.reshape(len(a), -1, GAUSS_NODES)
             sums = np.einsum("nkg,ng->nk", by_node, node)
         else:
             sums = np.empty((len(chis), ends[0][1].shape[1] // GAUSS_NODES))

@@ -666,16 +666,12 @@ def futaki_report(ctx: FunctionalContext, w: TorusWeight, lam: float, w_dir: Tor
     m = ctx._moments(w.chi)
     f0, f1 = _obstruction(m)
     with np.errstate(all="ignore"):  # a value past the float range is refused below
-        report = VolReport(
-            log_vol=float(_log_vol(m, lam)),
-            sbar=float(_sbar(m, lam)),
-            theta_bar=float(_theta_bar(m)),
-            futaki_self=float(w.chi * (f0 + lam * f1)),
-            nu_self=float(w.chi ** 2 * _var(m)),
-            lambda_xi=_lambda_xi(m) if w.chi != 0.0 else None,
-        )
-        futaki_dir = w_dir.chi * float(f0 + lam * f1)
-    if not all(math.isfinite(v) for v in (*asdict(report).values(), futaki_dir) if v is not None):
+        values = (float(_log_vol(m, lam)), float(_sbar(m, lam)), float(_theta_bar(m)),
+                  float(w.chi * (f0 + lam * f1)), float(w.chi ** 2 * _var(m)),
+                  w_dir.chi * float(f0 + lam * f1))
+    if not all(map(math.isfinite, values)):
         raise EvaluationError(f"the volume report leaves the float range at chi={w.chi!r}, "
                               f"lam={lam!r}")
+    *fields, futaki_dir = values
+    report = VolReport(*fields, lambda_xi=_lambda_xi(m) if w.chi != 0.0 else None)
     return report, futaki_dir
